@@ -194,7 +194,7 @@ writeBenchArtifacts()
 /**
  * Parse `--trace <path>`, `--stats-json <path>`, `--profile` and
  * `--jobs N`; unknown arguments are ignored so benches can add their
- * own. Installs the global trace sink / enables the profile registry
+ * own. Installs the global trace sink / enables span collection
  * and registers an atexit hook that writes the artifacts, so a bench
  * body needs no further code. `--jobs N` caps every pool in the
  * process (equivalent to COPERNICUS_JOBS=N in the environment).
@@ -218,13 +218,20 @@ parseBenchFlags(int argc, char **argv)
         }
     }
     if (flags.profile || !flags.statsJsonPath.empty())
-        ProfileRegistry::global().setEnabled(true);
+        SpanCollector::global().setEnabled(true);
     if (!flags.tracePath.empty()) {
         setActiveTraceSink(&benchTraceWriter());
         ThreadPool::setLaneRecording(true);
     }
     if (flags.profile || !flags.statsJsonPath.empty() ||
         !flags.tracePath.empty()) {
+        // Function-local statics are destroyed in reverse order of
+        // construction, interleaved with atexit hooks by registration
+        // time. Construct every global the hook reads first (the pool
+        // after --jobs is applied), so each outlives the hook.
+        ThreadPool::global();
+        EncodeCache::global();
+        SpanCollector::global();
         std::atexit(writeBenchArtifacts);
     }
 }

@@ -458,7 +458,7 @@ main(int argc, char **argv)
     }
     std::printf("copernicus_cli — sparse-format characterizer\n\n");
     if (opts.profile || !opts.statsJsonPath.empty())
-        ProfileRegistry::global().setEnabled(true);
+        SpanCollector::global().setEnabled(true);
     if (opts.jobs != 0)
         setJobsOverride(opts.jobs);
     if (!opts.tracePath.empty())

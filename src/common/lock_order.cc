@@ -1,6 +1,8 @@
 #include "common/lock_order.hh"
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
 
 #include "common/status.hh"
 
@@ -23,7 +25,6 @@ lockOrderRegistry()
         {"stat.distribution", lock_rank::statDistribution},
         {"trace.span_collector", lock_rank::spanCollector},
         {"trace.flight_recorder", lock_rank::flightRecorder},
-        {"trace.profile_registry", lock_rank::profileRegistry},
     };
     return registry;
 }
@@ -36,8 +37,15 @@ constexpr bool orderChecks = true;
 constexpr bool orderChecks = false;
 #endif
 
-/** Ranks held by the calling thread, acquisition order. */
-thread_local std::vector<int> heldRanks;
+/**
+ * Ranks held by the calling thread, acquisition order. Trivially
+ * destructible on purpose: thread_locals with destructors die before
+ * the main thread's atexit hooks run, and those hooks still lock. Ranks
+ * only increase while held, so the depth is bounded by the rank count.
+ */
+constexpr std::size_t maxHeldRanks = 32;
+thread_local std::array<int, maxHeldRanks> heldRanks;
+thread_local std::size_t heldCount = 0;
 
 } // namespace
 
@@ -53,7 +61,9 @@ noteLockAcquired(int rank)
                 std::to_string(held) +
                 " (locks must be taken in strictly increasing rank "
                 "order; see common/lock_order.hh)");
-    heldRanks.push_back(rank);
+    panicIf(heldCount == maxHeldRanks,
+            "lock-order check: too many ranked locks held at once");
+    heldRanks[heldCount++] = rank;
 }
 
 void
@@ -61,18 +71,24 @@ noteLockReleased(int rank)
 {
     if (!orderChecks || rank <= 0)
         return;
-    const auto it =
-        std::find(heldRanks.rbegin(), heldRanks.rend(), rank);
-    if (it != heldRanks.rend())
-        heldRanks.erase(std::next(it).base());
+    for (std::size_t i = heldCount; i-- > 0;) {
+        if (heldRanks[i] == rank) {
+            std::copy(heldRanks.begin() + i + 1,
+                      heldRanks.begin() + heldCount,
+                      heldRanks.begin() + i);
+            --heldCount;
+            return;
+        }
+    }
 }
 
 int
 currentMaxHeldRank()
 {
-    if (!orderChecks || heldRanks.empty())
+    if (!orderChecks || heldCount == 0)
         return 0;
-    return *std::max_element(heldRanks.begin(), heldRanks.end());
+    return *std::max_element(heldRanks.begin(),
+                             heldRanks.begin() + heldCount);
 }
 
 } // namespace copernicus

@@ -58,7 +58,6 @@ inline constexpr int encodeCacheShard = 60; ///< encode-cache shards
 inline constexpr int statDistribution = 70; ///< DistributionStat bins
 inline constexpr int spanCollector = 80;    ///< span ring
 inline constexpr int flightRecorder = 90;   ///< wide-event ring
-inline constexpr int profileRegistry = 100; ///< host profiler table
 
 } // namespace lock_rank
 

@@ -1,30 +1,13 @@
 #include "compress/second_stage.hh"
 
-#include <atomic>
-#include <chrono>
 #include <cstring>
 
 #include "common/arena.hh"
-#include "trace/profile.hh"
+#include "trace/span.hh"
 
 namespace copernicus {
 
 namespace {
-
-struct Counters
-{
-    std::atomic<std::uint64_t> streams{0};
-    std::atomic<std::uint64_t> rawBytes{0};
-    std::atomic<std::uint64_t> storedBytes{0};
-    std::atomic<std::uint64_t> nanos{0};
-};
-
-Counters &
-counters()
-{
-    static Counters c;
-    return c;
-}
 
 /**
  * Compress @p raw with @p compressor and verify the roundtrip into
@@ -94,8 +77,9 @@ TileCompression
 compressTile(const EncodedTile &tile, const CompressionPolicy &policy,
              bool keepPayloads)
 {
-    const auto start = std::chrono::steady_clock::now();
-    const ScopedTimer timer("compress.tile");
+    static SpanSlot &timing =
+        SpanCollector::global().slot("compress.tile");
+    const ScopedSpan span(timing);
 
     const std::vector<TypedStream> typed = tile.typedStreams();
     TileCompression result;
@@ -141,31 +125,7 @@ compressTile(const EncodedTile &tile, const CompressionPolicy &policy,
                               : best;
         result.streams.push_back(std::move(out));
     }
-
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    Counters &c = counters();
-    c.streams.fetch_add(result.streams.size(),
-                        std::memory_order_relaxed);
-    c.rawBytes.fetch_add(result.rawBytes(), std::memory_order_relaxed);
-    c.storedBytes.fetch_add(result.storedBytes(),
-                            std::memory_order_relaxed);
-    c.nanos.fetch_add(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-            .count(),
-        std::memory_order_relaxed);
     return result;
-}
-
-CompressTotals
-compressTotals()
-{
-    const Counters &c = counters();
-    CompressTotals t;
-    t.streams = c.streams.load(std::memory_order_relaxed);
-    t.rawBytes = c.rawBytes.load(std::memory_order_relaxed);
-    t.storedBytes = c.storedBytes.load(std::memory_order_relaxed);
-    t.nanos = c.nanos.load(std::memory_order_relaxed);
-    return t;
 }
 
 } // namespace copernicus

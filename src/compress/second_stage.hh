@@ -119,18 +119,6 @@ TileCompression compressTile(const EncodedTile &tile,
                              const CompressionPolicy &policy = {},
                              bool keepPayloads = false);
 
-/** Monotonic process-wide second-stage counters (wide events). */
-struct CompressTotals
-{
-    std::uint64_t streams = 0;
-    std::uint64_t rawBytes = 0;
-    std::uint64_t storedBytes = 0;
-    std::uint64_t nanos = 0;
-};
-
-/** Snapshot of the counters compressTile() maintains. */
-CompressTotals compressTotals();
-
 } // namespace copernicus
 
 #endif // COPERNICUS_COMPRESS_SECOND_STAGE_HH

@@ -8,7 +8,7 @@
 #include "formats/validate.hh"
 #include "hls/axi.hh"
 #include "hls/decompressor.hh"
-#include "trace/profile.hh"
+#include "trace/span.hh"
 
 namespace copernicus {
 
@@ -71,7 +71,7 @@ planFormats(const Partitioning &parts,
     fatalIf(candidates.empty(),
             "planFormats needs at least one candidate format");
 
-    const ScopedTimer timer("scheduler.plan");
+    const ScopedSpan span("scheduler.plan", "scheduler");
     FormatPlan plan;
     const std::size_t n = parts.tiles.size();
     plan.perTile.resize(n, candidates.front());

@@ -7,11 +7,8 @@
 #include "analysis/table_writer.hh"
 #include "common/status.hh"
 #include "common/thread_pool.hh"
-#include "common/trace_context.hh"
-#include "compress/second_stage.hh"
 #include "store/container.hh"
 #include "store/sweep_journal.hh"
-#include "trace/profile.hh"
 #include "trace/span.hh"
 
 namespace copernicus {
@@ -143,7 +140,6 @@ StudyRow
 Study::makeRow(const std::string &workload, const Partitioning &parts,
                FormatKind kind, TraceSink *sink) const
 {
-    const ScopedTimer timer("study.run.pipeline");
     // One span per design point: at jobs > 1 the pool's context
     // propagation parents it under the span that issued the
     // parallelFor, so encodes attach to their request's study.run.
@@ -183,7 +179,6 @@ Study::partitionsFor(std::size_t w, Index p) const
     // nodes are stable and entries are never erased, so the reference
     // outlives both locks.
     std::call_once(slot->once, [&] {
-        const ScopedTimer part_timer("study.run.partition");
         const ScopedSpan part_span("study.partition", "study");
         slot->parts = partition(matrices[w].second, p);
     });
@@ -193,9 +188,7 @@ Study::partitionsFor(std::size_t w, Index p) const
 StudyResult
 Study::run() const
 {
-    const ScopedTimer timer("study.run");
     const ScopedSpan span("study.run", "study");
-    const CompressTotals compressBefore = compressTotals();
 
     const unsigned jobs = effectiveJobs(cfg.jobs);
     std::optional<ThreadPool> pool;
@@ -291,27 +284,6 @@ Study::run() const
         }
     }
 
-    if (cfg.hls.secondStageCompression &&
-        SpanCollector::global().enabled()) {
-        // Per-tile compress timings are far too fine-grained for the
-        // span ring; report one synthetic span whose duration is the
-        // summed second-stage time across every design point, parented
-        // under study.run so traces show where the compression cost
-        // sits.
-        const std::uint64_t nanos =
-            compressTotals().nanos - compressBefore.nanos;
-        const TraceContext ctx = currentTraceContext();
-        SpanRecord rec;
-        rec.traceId = ctx.valid() ? ctx.traceId : newTraceId();
-        rec.spanId = newSpanId();
-        rec.parentSpanId = ctx.valid() ? ctx.spanId : 0;
-        rec.name = "study.compress";
-        rec.track = "study";
-        rec.endUs = observeNowUs();
-        const std::uint64_t micros = nanos / 1000;
-        rec.startUs = rec.endUs > micros ? rec.endUs - micros : 0;
-        SpanCollector::global().record(std::move(rec));
-    }
     return result;
 }
 

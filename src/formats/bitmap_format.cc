@@ -1,13 +1,15 @@
 #include "formats/bitmap_format.hh"
 
-#include "trace/profile.hh"
+#include "trace/span.hh"
 
 namespace copernicus {
 
 std::unique_ptr<EncodedTile>
 BitmapCodec::encode(const Tile &tile) const
 {
-    const ScopedTimer timer("encode.Bitmap");
+    static SpanSlot &timing =
+        SpanCollector::global().slot("encode.Bitmap");
+    const ScopedSpan span(timing);
     const auto &nz = tile.nonzeros();
     auto encoded = std::make_unique<BitmapEncoded>(tile.size(),
                                                    tile.nnz());

@@ -1,13 +1,15 @@
 #include "formats/coo_format.hh"
 
-#include "trace/profile.hh"
+#include "trace/span.hh"
 
 namespace copernicus {
 
 std::unique_ptr<EncodedTile>
 CooCodec::encode(const Tile &tile) const
 {
-    const ScopedTimer timer("encode.COO");
+    static SpanSlot &timing =
+        SpanCollector::global().slot("encode.COO");
+    const ScopedSpan span(timing);
     const Index p = tile.size();
     const auto &nz = tile.nonzeros();
     auto encoded = std::make_unique<CooEncoded>(p, tile.nnz());

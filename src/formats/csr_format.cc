@@ -1,13 +1,15 @@
 #include "formats/csr_format.hh"
 
-#include "trace/profile.hh"
+#include "trace/span.hh"
 
 namespace copernicus {
 
 std::unique_ptr<EncodedTile>
 CsrCodec::encode(const Tile &tile) const
 {
-    const ScopedTimer timer("encode.CSR");
+    static SpanSlot &timing =
+        SpanCollector::global().slot("encode.CSR");
+    const ScopedSpan span(timing);
     const Index p = tile.size();
     const auto &nz = tile.nonzeros();
     const TileStats &feat = tile.features();

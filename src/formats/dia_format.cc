@@ -3,14 +3,16 @@
 #include <cstdint>
 #include <vector>
 
-#include "trace/profile.hh"
+#include "trace/span.hh"
 
 namespace copernicus {
 
 std::unique_ptr<EncodedTile>
 DiaCodec::encode(const Tile &tile) const
 {
-    const ScopedTimer timer("encode.DIA");
+    static SpanSlot &timing =
+        SpanCollector::global().slot("encode.DIA");
+    const ScopedSpan span(timing);
     const Index p = tile.size();
     const auto &nz = tile.nonzeros();
     const TileStats &feat = tile.features();

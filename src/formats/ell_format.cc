@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/status.hh"
-#include "trace/profile.hh"
+#include "trace/span.hh"
 
 namespace copernicus {
 
@@ -21,7 +21,9 @@ EllCodec::widthFor(const Tile &tile) const
 std::unique_ptr<EncodedTile>
 EllCodec::encode(const Tile &tile) const
 {
-    const ScopedTimer timer("encode.ELL");
+    static SpanSlot &timing =
+        SpanCollector::global().slot("encode.ELL");
+    const ScopedSpan span(timing);
     const Index p = tile.size();
     const auto &nz = tile.nonzeros();
     const TileStats &feat = tile.features();

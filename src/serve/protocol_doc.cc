@@ -45,7 +45,6 @@ buildWideEventJson(const WideEventInputs &in)
         << ", \"deadline_used_ms\": " << num(in.deadlineUsedMs)
         << ", \"cache_hits\": " << in.cacheHits
         << ", \"cache_misses\": " << in.cacheMisses
-        << ", \"compress_us\": " << in.compressUs
         << ", \"formats_swept\": " << in.formatsSwept
         << ", \"memo_hit\": " << (in.memoHit ? "true" : "false")
         << ", \"protocol\": " << quoted(in.protocol) << '}';
@@ -80,7 +79,6 @@ documentedWideEventFields()
         "deadline_used_ms",
         "cache_hits",
         "cache_misses",
-        "compress_us",
         "formats_swept",
         "memo_hit",
         "protocol",

@@ -46,7 +46,6 @@ struct WideEventInputs
     double deadlineUsedMs = 0;
     std::uint64_t cacheHits = 0;
     std::uint64_t cacheMisses = 0;
-    std::uint64_t compressUs = 0;
     std::uint64_t formatsSwept = 0;
     bool memoHit = false;          ///< served from the result memo
     std::string protocol = "ndjson"; ///< wire dialect ("binary")

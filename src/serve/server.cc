@@ -21,9 +21,9 @@
 #include "common/prometheus.hh"
 #include "common/status.hh"
 #include "common/trace_context.hh"
-#include "compress/second_stage.hh"
 #include "core/scheduler.hh"
 #include "core/study.hh"
+#include "formats/encode_cache.hh"
 #include "formats/validate.hh"
 #include "matrix/stats.hh"
 #include "serve/protocol_doc.hh"
@@ -820,7 +820,7 @@ Server::handlePayload(const std::shared_ptr<Conn> &conn,
       case Admit::Full:
         *statsFor(request.endpoint).rejected += 1;
         recordWideEvent(request, serve_error::queueFull, binary,
-                        receiptUs, receiptUs, nowUs(), 0, 0, 0, 0,
+                        receiptUs, receiptUs, nowUs(), 0, 0, 0,
                         RequestObs{});
         respond(conn, binary, wireStreamId,
                 errorResponse(request.id,
@@ -834,7 +834,7 @@ Server::handlePayload(const std::shared_ptr<Conn> &conn,
       case Admit::Draining:
         *statsFor(request.endpoint).rejected += 1;
         recordWideEvent(request, serve_error::shuttingDown, binary,
-                        receiptUs, receiptUs, nowUs(), 0, 0, 0, 0,
+                        receiptUs, receiptUs, nowUs(), 0, 0, 0,
                         RequestObs{});
         respond(conn, binary, wireStreamId,
                 errorResponse(request.id,
@@ -903,7 +903,6 @@ Server::runRequest(std::shared_ptr<Conn> conn, ServeRequest request,
     EndpointStats &stats = statsFor(request.endpoint);
     const std::uint64_t startUs = nowUs();
     const EncodeCache::Stats cacheBefore = EncodeCache::global().stats();
-    const CompressTotals compressBefore = compressTotals();
 
     const bool observe = requestSpanId != 0;
     if (observe) {
@@ -1002,10 +1001,6 @@ Server::runRequest(std::shared_ptr<Conn> conn, ServeRequest request,
     const EncodeCache::Stats cacheAfter = EncodeCache::global().stats();
     const auto cacheHits = cacheAfter.hits - cacheBefore.hits;
     const auto cacheMisses = cacheAfter.misses - cacheBefore.misses;
-    // Second-stage compression time attributed to this request; the
-    // same approximate-under-overlap caveat as the cache deltas.
-    const std::uint64_t compressUs =
-        (compressTotals().nanos - compressBefore.nanos) / 1000;
     *stats.cacheHits += static_cast<double>(cacheHits);
     *stats.cacheMisses += static_cast<double>(cacheMisses);
 
@@ -1031,7 +1026,7 @@ Server::runRequest(std::shared_ptr<Conn> conn, ServeRequest request,
     }
     recordWideEvent(request, outcome, stream.binary, receiptUs,
                     startUs, endUs, timeoutMs, cacheHits, cacheMisses,
-                    compressUs, obs);
+                    obs);
 
     // Retire the stream id before the response leaves, so a client
     // that reuses an id immediately after reading its response can
@@ -1057,7 +1052,6 @@ Server::recordWideEvent(const ServeRequest &request,
                         std::uint64_t endUs, double timeoutMs,
                         std::uint64_t cacheHits,
                         std::uint64_t cacheMisses,
-                        std::uint64_t compressUs,
                         const RequestObs &obs)
 {
     if (!opts.observability)
@@ -1075,7 +1069,6 @@ Server::recordWideEvent(const ServeRequest &request,
         static_cast<double>(endUs - startUs) / 1000.0;
     event.cacheHits = cacheHits;
     event.cacheMisses = cacheMisses;
-    event.compressUs = compressUs;
     event.formatsSwept = obs.formatsSwept;
     event.memoHit = obs.memoHit;
     event.protocol = binary ? "binary" : "ndjson";
@@ -1448,6 +1441,10 @@ Server::dispatch(const ServeRequest &request,
 std::string
 Server::statsJson() const
 {
+    // The pool and cache exporters snapshot their counters when
+    // built, so build them per call to report live values.
+    const ThreadPoolStats poolStats;
+    const EncodeCacheStats cacheStats;
     std::ostringstream out;
     dumpGroupsJson(out,
                    {&grp, &poolStats.group(), &cacheStats.group()});

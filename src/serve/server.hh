@@ -64,7 +64,7 @@
 #include "common/stat_group.hh"
 #include "common/thread_annotations.hh"
 #include "common/thread_pool.hh"
-#include "formats/encode_cache.hh"
+#include "formats/registry.hh"
 #include "serve/framing.hh"
 #include "serve/protocol.hh"
 #include "serve/result_memo.hh"
@@ -366,7 +366,6 @@ class Server
                          std::uint64_t endUs, double timeoutMs,
                          std::uint64_t cacheHits,
                          std::uint64_t cacheMisses,
-                         std::uint64_t compressUs,
                          const RequestObs &obs);
 
     Admit tryAdmit();
@@ -430,8 +429,6 @@ class Server
     std::unique_ptr<ScalarStat> framesProtocolError;
     std::unique_ptr<ScalarStat> framesTruncated;
     std::unique_ptr<ScalarStat> streamsCancelled;
-    ThreadPoolStats poolStats;
-    EncodeCacheStats cacheStats;
 
     mutable Mutex spansMutex{lock_rank::serveSpans};
     std::vector<RequestSpan> requestSpans

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "common/status.hh"
-#include "trace/profile.hh"
+#include "trace/span.hh"
 
 namespace copernicus {
 
@@ -36,7 +36,7 @@ conjugateGradient(const CsrMatrix &a, const std::vector<Value> &b,
     fatalIf(a.rows() != a.cols(), "CG requires a square matrix");
     fatalIf(b.size() != a.rows(), "CG right-hand-side length mismatch");
 
-    const ScopedTimer timer("solver.cg");
+    const ScopedSpan span("solver.cg", "solver");
 
     const std::size_t n = b.size();
     SolveResult result;

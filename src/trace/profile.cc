@@ -1,51 +1,8 @@
 #include "trace/profile.hh"
 
-#include <algorithm>
-
 namespace copernicus {
 
-ProfileRegistry &
-ProfileRegistry::global()
-{
-    static ProfileRegistry registry;
-    return registry;
-}
-
-void
-ProfileRegistry::record(std::string_view name, double seconds)
-{
-    const MutexLock lock(mutex);
-    auto it = table.find(name);
-    if (it == table.end()) {
-        Entry entry;
-        entry.name = std::string(name);
-        it = table.emplace(entry.name, std::move(entry)).first;
-    }
-    Entry &entry = it->second;
-    ++entry.calls;
-    entry.seconds += seconds;
-    entry.maxSeconds = std::max(entry.maxSeconds, seconds);
-}
-
-void
-ProfileRegistry::clear()
-{
-    const MutexLock lock(mutex);
-    table.clear();
-}
-
-std::vector<ProfileRegistry::Entry>
-ProfileRegistry::entries() const
-{
-    const MutexLock lock(mutex);
-    std::vector<Entry> out;
-    out.reserve(table.size());
-    for (const auto &[name, entry] : table)
-        out.push_back(entry);
-    return out;
-}
-
-ProfileStats::ProfileStats(const ProfileRegistry &registry)
+ProfileStats::ProfileStats(const SpanCollector &collector)
     : grp("profile")
 {
     auto add = [this](const std::string &name, const char *desc,
@@ -54,7 +11,7 @@ ProfileStats::ProfileStats(const ProfileRegistry &registry)
         *stat = value;
         owned.push_back(std::move(stat));
     };
-    for (const ProfileRegistry::Entry &entry : registry.entries()) {
+    for (const SpanTotals &entry : collector.totals()) {
         add(entry.name + ".calls", "times the scope was entered",
             static_cast<double>(entry.calls));
         add(entry.name + ".seconds", "total wall-clock seconds inside",

@@ -1,141 +1,36 @@
 /**
  * @file
- * Host-side scoped profiling: wall-clock timing of the library's own
- * hot paths (format encoders, Study::run, the schedulers, solvers), as
- * opposed to the *modelled* cycle counts everywhere else.
- *
- * Usage: drop a `ScopedTimer timer("study.run.encode");` at the top of
- * a scope. Names are hierarchical by dotted convention so a dump reads
- * as a tree. Disabled (the default) the timer is one relaxed atomic
- * load — no clock reads, no allocation, no lock — so instrumented
- * library code costs nothing in production. Enable with
- * `ProfileRegistry::global().setEnabled(true)` (the CLI/bench
- * `--profile` flag) and dump via ProfileStats, which exports the
- * registry as a regular StatGroup ("name value # desc" and JSON).
+ * Exporters for host-side timing: the span aggregate as the "profile"
+ * StatGroup, and thread-pool lane spans as a trace scope. The timing
+ * itself is ScopedSpan (trace/span.hh); `--profile` on the CLI and the
+ * benches enables SpanCollector::global() and dumps ProfileStats.
  */
 
 #ifndef COPERNICUS_TRACE_PROFILE_HH
 #define COPERNICUS_TRACE_PROFILE_HH
 
-#include <atomic>
-#include <chrono>
-#include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <memory>
-#include <string>
-#include <string_view>
 #include <vector>
 
-#include "common/lock_order.hh"
-#include "common/mutex.hh"
 #include "common/stat_group.hh"
-#include "common/thread_annotations.hh"
 #include "common/thread_pool.hh"
+#include "trace/span.hh"
 #include "trace/trace_sink.hh"
 
 namespace copernicus {
 
-/** Thread-safe accumulator of named wall-clock timings. */
-class ProfileRegistry
-{
-  public:
-    /** Aggregate of every ScopedTimer that reported one name. */
-    struct Entry
-    {
-        std::string name;
-        std::uint64_t calls = 0;
-        double seconds = 0;
-        double maxSeconds = 0;
-    };
-
-    /** The process-wide registry the default ScopedTimer reports to. */
-    static ProfileRegistry &global();
-
-    ProfileRegistry() = default;
-    ProfileRegistry(const ProfileRegistry &) = delete;
-    ProfileRegistry &operator=(const ProfileRegistry &) = delete;
-
-    void
-    setEnabled(bool enabled)
-    {
-        on.store(enabled, std::memory_order_relaxed);
-    }
-
-    bool
-    enabled() const
-    {
-        return on.load(std::memory_order_relaxed);
-    }
-
-    /** Fold one timed interval into the entry for @p name. */
-    void record(std::string_view name, double seconds);
-
-    /** Drop every entry (enabled state is kept). */
-    void clear();
-
-    /** Snapshot of all entries, sorted by name. */
-    std::vector<Entry> entries() const;
-
-  private:
-    std::atomic<bool> on{false};
-    mutable Mutex mutex{lock_rank::profileRegistry};
-    std::map<std::string, Entry, std::less<>> table
-        COPERNICUS_GUARDED_BY(mutex);
-};
-
 /**
- * RAII timer: measures from construction to destruction on the
- * monotonic clock and reports to the registry. When the registry is
- * disabled at construction, neither clock is read.
- */
-class ScopedTimer
-{
-  public:
-    explicit ScopedTimer(std::string_view name,
-                         ProfileRegistry &registry =
-                             ProfileRegistry::global())
-        : reg(&registry)
-    {
-        if (reg->enabled()) {
-            label = name;
-            start = Clock::now();
-            active = true;
-        }
-    }
-
-    ~ScopedTimer()
-    {
-        if (active) {
-            const auto elapsed = Clock::now() - start;
-            reg->record(
-                label,
-                std::chrono::duration<double>(elapsed).count());
-        }
-    }
-
-    ScopedTimer(const ScopedTimer &) = delete;
-    ScopedTimer &operator=(const ScopedTimer &) = delete;
-
-  private:
-    using Clock = std::chrono::steady_clock;
-
-    ProfileRegistry *reg;
-    std::string_view label;
-    Clock::time_point start;
-    bool active = false;
-};
-
-/**
- * The registry exported as a StatGroup named "profile": per entry
- * `<name>.calls`, `<name>.seconds` and `<name>.max_seconds`, so the
- * profile dump shares the text and JSON machinery of every other stat.
+ * The span aggregate exported as a StatGroup named "profile": per span
+ * name `<name>.calls`, `<name>.seconds` and `<name>.max_seconds`, so
+ * the profile dump shares the text and JSON machinery of every other
+ * stat.
  */
 class ProfileStats
 {
   public:
-    explicit ProfileStats(const ProfileRegistry &registry =
-                              ProfileRegistry::global());
+    explicit ProfileStats(const SpanCollector &collector =
+                              SpanCollector::global());
 
     const StatGroup &group() const { return grp; }
 

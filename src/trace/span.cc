@@ -24,6 +24,18 @@ SpanRecord::writeJson(std::ostream &out) const
         << '}';
 }
 
+void
+SpanSlot::add(std::uint64_t interval)
+{
+    calls.fetch_add(1, std::memory_order_relaxed);
+    nanos.fetch_add(interval, std::memory_order_relaxed);
+    std::uint64_t seen = maxNanos.load(std::memory_order_relaxed);
+    while (interval > seen &&
+           !maxNanos.compare_exchange_weak(seen, interval,
+                                           std::memory_order_relaxed)) {
+    }
+}
+
 SpanCollector &
 SpanCollector::global()
 {
@@ -46,6 +58,7 @@ void
 SpanCollector::record(SpanRecord span)
 {
     const MutexLock lock(mutex);
+    slotLocked(span.name).add((span.endUs - span.startUs) * 1000);
     ++total;
     if (ring.size() < capacity) {
         ring.push_back(std::move(span));
@@ -53,6 +66,42 @@ SpanCollector::record(SpanRecord span)
     }
     ring[head] = std::move(span);
     head = (head + 1) % capacity;
+}
+
+SpanSlot &
+SpanCollector::slot(std::string_view name)
+{
+    const MutexLock lock(mutex);
+    return slotLocked(name);
+}
+
+SpanSlot &
+SpanCollector::slotLocked(std::string_view name)
+{
+    auto it = slots.find(name);
+    if (it == slots.end())
+        it = slots.try_emplace(std::string(name), *this).first;
+    return it->second;
+}
+
+std::vector<SpanTotals>
+SpanCollector::totals() const
+{
+    const MutexLock lock(mutex);
+    std::vector<SpanTotals> out;
+    for (const auto &[name, slot] : slots) {
+        const std::uint64_t calls =
+            slot.calls.load(std::memory_order_relaxed);
+        if (calls == 0)
+            continue;
+        out.push_back(
+            {name, calls,
+             static_cast<double>(
+                 slot.nanos.load(std::memory_order_relaxed)) * 1e-9,
+             static_cast<double>(
+                 slot.maxNanos.load(std::memory_order_relaxed)) * 1e-9});
+    }
+    return out;
 }
 
 std::vector<SpanRecord>
@@ -99,6 +148,11 @@ SpanCollector::clear()
     ring.clear();
     head = 0;
     total = 0;
+    for (auto &[name, slot] : slots) {
+        slot.calls.store(0, std::memory_order_relaxed);
+        slot.nanos.store(0, std::memory_order_relaxed);
+        slot.maxNanos.store(0, std::memory_order_relaxed);
+    }
 }
 
 } // namespace copernicus

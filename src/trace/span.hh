@@ -1,27 +1,38 @@
 /**
  * @file
- * Request-scoped span recording: the causally-linked counterpart of
- * ScopedTimer.
+ * Host-side span recording: the one primitive that times the
+ * library's own wall-clock work, as opposed to the *modelled* cycle
+ * counts everywhere else.
  *
- * A span is one named interval of work attributed to a trace
- * (request) and to a parent span, so the spans of one request assemble
- * into a tree: client call → server request → queue wait → handler →
- * study phases → per-design-point encodes, across whatever threads the
- * thread pool scattered them over (common/trace_context carries the
- * parent identity into pool tasks).
+ * A span is one named interval. Every span folds into a per-name
+ * aggregate (calls, seconds, max seconds) that ProfileStats exports as
+ * the "profile" StatGroup. There are two kinds:
  *
- * Recording is a bounded ring in SpanCollector — always safe to leave
- * on, never grows without bound — and a disabled ScopedSpan costs one
- * relaxed atomic load, mirroring ScopedTimer's contract, so the
- * instrumentation stays in the library's hot paths unconditionally.
+ *  - a *tree* span is also attributed to a trace (request) and to a
+ *    parent span, so the spans of one request assemble into a tree:
+ *    client call → server request → queue wait → handler → study
+ *    phases → per-design-point encodes, across whatever threads the
+ *    thread pool scattered them over (common/trace_context carries
+ *    the parent identity into pool tasks). Tree spans enter the
+ *    bounded ring in SpanCollector.
+ *  - a *leaf* span (per-tile encodes, second-stage compression) folds
+ *    into its name's aggregate only: no ring slot, no lock, no
+ *    allocation per call — the call site caches its SpanSlot in a
+ *    function-local static and the fold is three relaxed atomics.
+ *
+ * SpanCollector::setEnabled() is the only switch. A disabled span
+ * costs one relaxed atomic load, so the instrumentation stays in the
+ * library's hot paths unconditionally.
  */
 
 #ifndef COPERNICUS_TRACE_SPAN_HH
 #define COPERNICUS_TRACE_SPAN_HH
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -48,8 +59,47 @@ struct SpanRecord
     void writeJson(std::ostream &out) const;
 };
 
+/** Every span that reported one name, folded. */
+struct SpanTotals
+{
+    std::string name;
+    std::uint64_t calls = 0;
+    double seconds = 0;
+    double maxSeconds = 0;
+};
+
+class SpanCollector;
+
 /**
- * Process-wide bounded ring of completed spans.
+ * The running aggregate of one span name in relaxed atomics, so a
+ * leaf span folds in without a lock. A collector owns its slots and
+ * never erases one, so a reference from SpanCollector::slot() stays
+ * valid for the collector's lifetime.
+ */
+class SpanSlot
+{
+  public:
+    explicit SpanSlot(SpanCollector &owner) : owner(&owner) {}
+
+    SpanSlot(const SpanSlot &) = delete;
+    SpanSlot &operator=(const SpanSlot &) = delete;
+
+  private:
+    friend class SpanCollector;
+    friend class ScopedSpan;
+
+    /** Fold one interval of @p nanos. */
+    void add(std::uint64_t nanos);
+
+    SpanCollector *owner;
+    std::atomic<std::uint64_t> calls{0};
+    std::atomic<std::uint64_t> nanos{0};
+    std::atomic<std::uint64_t> maxNanos{0};
+};
+
+/**
+ * Process-wide bounded ring of completed tree spans plus the per-name
+ * aggregate of every span.
  *
  * record() and snapshot() are mutex-guarded with short critical
  * sections (one slot move / one vector copy); when the ring laps,
@@ -60,7 +110,7 @@ struct SpanRecord
 class SpanCollector
 {
   public:
-    /** The collector every ScopedSpan reports to. */
+    /** The collector every tree span reports to by default. */
     static SpanCollector &global();
 
     SpanCollector() = default;
@@ -82,7 +132,20 @@ class SpanCollector
     /** Resize the ring (drops current contents). Capacity >= 1. */
     void setCapacity(std::size_t capacity);
 
+    /** Add @p span to the ring and fold it into its name's slot. */
     void record(SpanRecord span);
+
+    /**
+     * The aggregate slot for @p name, created on first use. A leaf
+     * call site caches it:
+     *
+     *     static SpanSlot &timing = SpanCollector::global().slot("x");
+     *     const ScopedSpan span(timing);
+     */
+    SpanSlot &slot(std::string_view name);
+
+    /** Every name with at least one call, sorted by name. */
+    std::vector<SpanTotals> totals() const;
 
     /** Every retained span, oldest first. */
     std::vector<SpanRecord> snapshot() const;
@@ -96,10 +159,16 @@ class SpanCollector
     /** Spans overwritten by ring wrap-around. */
     std::uint64_t dropped() const;
 
-    /** Drop every retained span and reset the counters. */
+    /**
+     * Drop every retained span and zero the counters and the
+     * aggregate (the enabled state is kept).
+     */
     void clear();
 
   private:
+    SpanSlot &slotLocked(std::string_view name)
+        COPERNICUS_REQUIRES(mutex);
+
     std::atomic<bool> on{false};
     mutable Mutex mutex{lock_rank::spanCollector};
     /** size() < capacity until first lap */
@@ -108,17 +177,24 @@ class SpanCollector
     /** next overwrite slot once full */
     std::size_t head COPERNICUS_GUARDED_BY(mutex) = 0;
     std::uint64_t total COPERNICUS_GUARDED_BY(mutex) = 0;
+    std::map<std::string, SpanSlot, std::less<>> slots
+        COPERNICUS_GUARDED_BY(mutex);
 };
 
 /**
- * RAII span: measures from construction to destruction on the shared
- * observability clock, parents itself under the thread's current
- * TraceContext (starting a fresh trace when there is none), and makes
- * itself the current context so nested spans become its children.
+ * RAII span: measures from construction to destruction and folds the
+ * interval into its collector's aggregate. When the collector is
+ * disabled at construction, no clock is read.
  */
 class ScopedSpan
 {
   public:
+    /**
+     * A tree span, on the shared observability clock: parents itself
+     * under the thread's current TraceContext (starting a fresh trace
+     * when there is none), makes itself the current context so nested
+     * spans become its children, and enters the ring.
+     */
     ScopedSpan(std::string_view name, std::string_view track,
                SpanCollector &collector = SpanCollector::global())
         : sink(&collector)
@@ -136,8 +212,28 @@ class ScopedSpan
         setCurrentTraceContext({record.traceId, record.spanId});
     }
 
+    /**
+     * A leaf span: nanosecond steady-clock interval folded into
+     * @p slot only. It neither enters the ring nor changes the
+     * thread's trace context.
+     */
+    explicit ScopedSpan(SpanSlot &slot) : sink(slot.owner)
+    {
+        if (!sink->enabled())
+            return;
+        leaf = &slot;
+        leafStart = std::chrono::steady_clock::now();
+    }
+
     ~ScopedSpan()
     {
+        if (leaf != nullptr) {
+            leaf->add(static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    std::chrono::steady_clock::now() - leafStart)
+                    .count()));
+            return;
+        }
         if (!active)
             return;
         setCurrentTraceContext(saved);
@@ -148,7 +244,7 @@ class ScopedSpan
     ScopedSpan(const ScopedSpan &) = delete;
     ScopedSpan &operator=(const ScopedSpan &) = delete;
 
-    /** This span's identity (invalid context when recording is off). */
+    /** This span's identity (invalid for a leaf or when off). */
     TraceContext
     context() const
     {
@@ -161,6 +257,8 @@ class ScopedSpan
     SpanRecord record;
     TraceContext saved;
     bool active = false;
+    SpanSlot *leaf = nullptr;
+    std::chrono::steady_clock::time_point leafStart;
 };
 
 } // namespace copernicus

@@ -22,6 +22,7 @@
 #include "compress/stream_compressor.hh"
 #include "formats/registry.hh"
 #include "matrix/partitioner.hh"
+#include "trace/span.hh"
 #include "workloads/generators.hh"
 
 namespace copernicus {
@@ -287,24 +288,27 @@ TEST(Compress, KeptPayloadsDecompressToOriginal)
     EXPECT_TRUE(sawCompressed);
 }
 
-TEST(Compress, TotalsAreMonotonic)
+TEST(Compress, TileIsOneLeafSpan)
 {
-    const FormatRegistry &registry = defaultRegistry();
     Rng rng(0x9999);
-    const TripletMatrix matrix = randomMatrix(64, 0.05, rng);
-    const Partitioning parts = partition(matrix, 16);
-    const CompressTotals before = compressTotals();
-    std::uint64_t streamsSeen = 0;
-    for (const Tile &tile : parts.tiles) {
-        const auto encoded =
-            registry.codec(FormatKind::CSR).encode(tile);
-        streamsSeen += compressTile(*encoded).streams.size();
-    }
-    const CompressTotals after = compressTotals();
-    EXPECT_EQ(before.streams + streamsSeen, after.streams);
-    EXPECT_GE(after.rawBytes, before.rawBytes);
-    EXPECT_GE(after.storedBytes, before.storedBytes);
-    EXPECT_GE(after.nanos, before.nanos);
+    const Partitioning parts = partition(randomMatrix(64, 0.05, rng), 16);
+    const auto encoded =
+        defaultRegistry().codec(FormatKind::CSR).encode(parts.tiles[0]);
+
+    SpanCollector &collector = SpanCollector::global();
+    collector.clear();
+    collector.setEnabled(true);
+    compressTile(*encoded);
+    collector.setEnabled(false);
+
+    std::uint64_t calls = 0;
+    for (const SpanTotals &entry : collector.totals())
+        if (entry.name == "compress.tile")
+            calls = entry.calls;
+    EXPECT_EQ(calls, 1u);
+    // A leaf span never enters the ring.
+    EXPECT_EQ(collector.recorded(), 0u);
+    collector.clear();
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <future>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -240,6 +241,40 @@ TEST(ScopedSpanTest, ParallelForBodiesInheritCallerContext)
         }
     }
     collector.clear();
+}
+
+TEST(SpanCollectorTest, LeafAggregateIsExactAcrossLanes)
+{
+    // The lock-free fold: pool lanes add to one slot while this thread
+    // reads the aggregate; under tsan this pins the relaxed-atomic
+    // slot as race-free, and the count must still come out exact.
+    SpanCollector collector;
+    collector.setEnabled(true);
+    SpanSlot &slot = collector.slot("lane.leaf");
+    constexpr int lanes = 4;
+    constexpr int perLane = 2000;
+
+    ThreadPool pool(lanes);
+    std::vector<std::future<void>> done;
+    for (int lane = 0; lane < lanes; ++lane) {
+        done.push_back(pool.submit([&slot] {
+            for (int i = 0; i < perLane; ++i) {
+                const ScopedSpan span(slot);
+            }
+        }));
+    }
+    for (int poll = 0; poll < 100; ++poll) {
+        for (const SpanTotals &entry : collector.totals())
+            EXPECT_LE(entry.calls, std::uint64_t{lanes} * perLane);
+    }
+    for (std::future<void> &f : done)
+        f.get();
+
+    const std::vector<SpanTotals> totals = collector.totals();
+    ASSERT_EQ(totals.size(), 1u);
+    EXPECT_EQ(totals[0].calls, std::uint64_t{lanes} * perLane);
+    EXPECT_LE(totals[0].maxSeconds, totals[0].seconds);
+    EXPECT_EQ(collector.recorded(), 0u);
 }
 
 TEST(SpanRecordTest, WriteJsonIsValidAndHex)

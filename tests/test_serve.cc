@@ -382,6 +382,40 @@ TEST_F(ServeTest, StatsEndpointExportsServeGroup)
     EXPECT_TRUE(sawServe);
 }
 
+TEST_F(ServeTest, StatsReportsLivePoolAndCacheCounters)
+{
+    // One handler lane: a pool task counts itself after its body (and
+    // so after its response) returns, so only a stats handler on the
+    // same lane is ordered after the plan task's count.
+    startServer(/*queueCapacity=*/8, /*workers=*/1);
+    ServeClient c = client();
+    // A fresh matrix: planning it must run the codecs on pool lanes.
+    const JsonValue plan = c.call(
+        "plan_formats",
+        "{\"matrix\": {\"kind\": \"band\", \"n\": 96, \"width\": 6, "
+        "\"seed\": 41}, \"partition_size\": 32}");
+    ASSERT_TRUE(plan.boolOr("ok", false));
+
+    const JsonValue response = c.call("stats");
+    ASSERT_TRUE(response.boolOr("ok", false));
+    const JsonValue *result = response.find("result");
+    ASSERT_NE(result, nullptr);
+    const JsonValue *groups = result->find("groups");
+    ASSERT_NE(groups, nullptr);
+    std::map<std::string, double> values;
+    for (const JsonValue &group : groups->elements) {
+        const JsonValue *list = group.find("stats");
+        ASSERT_NE(list, nullptr);
+        for (const JsonValue &stat : list->elements)
+            values[group.stringOr("group", "") + "." +
+                   stat.stringOr("name", "")] =
+                stat.numberOr("value", -1);
+    }
+    // Live counters, not the values at server construction.
+    EXPECT_GT(values["encode_cache.misses"], 0);
+    EXPECT_GT(values["thread_pool.tasks_run"], 0);
+}
+
 TEST_F(ServeTest, ValidateTileReportsCleanEncodings)
 {
     startServer();

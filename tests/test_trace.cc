@@ -2,7 +2,7 @@
  * @file
  * Tests for the trace subsystem: TraceWriter's Chrome trace_event
  * output, the TraceSink plumbing through the pipelines, and the
- * ScopedTimer / ProfileRegistry host profiler.
+ * span aggregate behind the "profile" stat group.
  */
 
 #include <gtest/gtest.h>
@@ -193,47 +193,49 @@ TEST(TraceWriterTest, BackwardsDurationIsRejected)
 
 TEST(ProfileTest, DisabledRegistryRecordsNothing)
 {
-    ProfileRegistry reg;
-    ASSERT_FALSE(reg.enabled());
+    SpanCollector collector;
+    ASSERT_FALSE(collector.enabled());
     {
-        ScopedTimer timer("quiet", reg);
+        const ScopedSpan tree("quiet", "test", collector);
+        const ScopedSpan leaf(collector.slot("quiet.leaf"));
     }
-    EXPECT_TRUE(reg.entries().empty());
+    EXPECT_EQ(collector.recorded(), 0u);
+    EXPECT_TRUE(collector.totals().empty());
 }
 
 TEST(ProfileTest, EnabledRegistryAggregates)
 {
-    ProfileRegistry reg;
-    reg.setEnabled(true);
+    SpanCollector collector;
+    collector.setEnabled(true);
     for (int i = 0; i < 3; ++i) {
-        ScopedTimer timer("loop", reg);
+        const ScopedSpan span("loop", "test", collector);
     }
     {
-        ScopedTimer timer("other", reg);
+        const ScopedSpan span("other", "test", collector);
     }
-    const auto entries = reg.entries();
-    ASSERT_EQ(entries.size(), 2u);
-    EXPECT_EQ(entries[0].name, "loop"); // sorted by name
-    EXPECT_EQ(entries[0].calls, 3u);
-    EXPECT_GE(entries[0].seconds, 0.0);
-    EXPECT_GE(entries[0].maxSeconds, 0.0);
-    EXPECT_LE(entries[0].maxSeconds, entries[0].seconds);
-    EXPECT_EQ(entries[1].name, "other");
-    EXPECT_EQ(entries[1].calls, 1u);
+    const std::vector<SpanTotals> totals = collector.totals();
+    ASSERT_EQ(totals.size(), 2u);
+    EXPECT_EQ(totals[0].name, "loop"); // sorted by name
+    EXPECT_EQ(totals[0].calls, 3u);
+    EXPECT_GE(totals[0].seconds, 0.0);
+    EXPECT_GE(totals[0].maxSeconds, 0.0);
+    EXPECT_LE(totals[0].maxSeconds, totals[0].seconds);
+    EXPECT_EQ(totals[1].name, "other");
+    EXPECT_EQ(totals[1].calls, 1u);
 
-    reg.clear();
-    EXPECT_TRUE(reg.entries().empty());
-    EXPECT_TRUE(reg.enabled()); // clear keeps the enabled state
+    collector.clear();
+    EXPECT_TRUE(collector.totals().empty());
+    EXPECT_TRUE(collector.enabled()); // clear keeps the enabled state
 }
 
 TEST(ProfileTest, ProfileStatsExportsEntries)
 {
-    ProfileRegistry reg;
-    reg.setEnabled(true);
+    SpanCollector collector;
+    collector.setEnabled(true);
     {
-        ScopedTimer timer("alpha.beta", reg);
+        const ScopedSpan span("alpha.beta", "test", collector);
     }
-    const ProfileStats stats(reg);
+    const ProfileStats stats(collector);
     EXPECT_EQ(stats.group().name(), "profile");
     EXPECT_NE(stats.group().find("alpha.beta.calls"), nullptr);
     EXPECT_NE(stats.group().find("alpha.beta.seconds"), nullptr);
@@ -243,6 +245,32 @@ TEST(ProfileTest, ProfileStatsExportsEntries)
     stats.dumpJson(json);
     EXPECT_TRUE(jsonValid(json.str()));
     EXPECT_NE(json.str().find("alpha.beta.calls"), std::string::npos);
+}
+
+TEST(ProfileTest, LeafSpansSkipTheRingTreeSpansEnterIt)
+{
+    SpanCollector collector;
+    collector.setEnabled(true);
+    SpanSlot &slot = collector.slot("tile.leaf");
+    for (int i = 0; i < 5; ++i) {
+        const ScopedSpan leaf(slot);
+        EXPECT_FALSE(leaf.context().valid());
+    }
+    EXPECT_EQ(collector.recorded(), 0u);
+    {
+        const ScopedSpan tree("phase.tree", "test", collector);
+    }
+    EXPECT_EQ(collector.recorded(), 1u);
+
+    const std::vector<SpanTotals> totals = collector.totals();
+    ASSERT_EQ(totals.size(), 2u);
+    EXPECT_EQ(totals[0].name, "phase.tree");
+    EXPECT_EQ(totals[0].calls, 1u);
+    EXPECT_EQ(totals[1].name, "tile.leaf");
+    EXPECT_EQ(totals[1].calls, 5u);
+    EXPECT_LE(totals[1].maxSeconds, totals[1].seconds);
+    // A slot is created once per name and survives clear().
+    EXPECT_EQ(&collector.slot("tile.leaf"), &slot);
 }
 
 TEST(JsonValidTest, AcceptsWellFormedDocuments)

@@ -1,8 +1,9 @@
 #include "compress/lzf_block.hh"
 
-#include <array>
 #include <cstdint>
 #include <cstring>
+
+#include "compress/match_table.hh"
 
 namespace copernicus {
 
@@ -26,14 +27,6 @@ std::uint32_t
 hash3(std::uint32_t sequence)
 {
     return (sequence * 2654435761u) >> (32 - hashBits);
-}
-
-/** Stale-safe single-probe table; see lz4_block.cc for the scheme. */
-std::uint32_t *
-matchTable()
-{
-    thread_local std::array<std::uint32_t, 1u << hashBits> table{};
-    return table.data();
 }
 
 void
@@ -81,21 +74,18 @@ lzfCompress(std::span<const std::byte> src, std::vector<std::byte> &out)
 
     std::size_t anchor = 0;
     if (n >= minMatch) {
-        std::uint32_t *table = matchTable();
+        thread_local MatchTable<hashBits> table;
+        table.begin(n);
         const std::size_t searchEnd = n - minMatch;
         std::size_t i = 0;
         while (i <= searchEnd) {
             const std::uint32_t seq = read24(in + i);
-            const std::uint32_t h = hash3(seq);
-            const std::uint32_t cand = table[h];
-            table[h] = static_cast<std::uint32_t>(i) + 1;
-            if (cand == 0 || cand - 1 >= i ||
-                i - (cand - 1) > maxOffset ||
-                read24(in + (cand - 1)) != seq) {
+            const std::size_t match = table.exchange(hash3(seq), i);
+            if (match >= i || i - match > maxOffset ||
+                read24(in + match) != seq) {
                 ++i;
                 continue;
             }
-            const std::size_t match = cand - 1;
             std::size_t len = minMatch;
             while (len < maxMatch && i + len < n &&
                    in[match + len] == in[i + len])

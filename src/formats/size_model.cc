@@ -1,7 +1,6 @@
 #include "formats/size_model.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 
 #include "common/status.hh"
@@ -69,66 +68,6 @@ measureTile(const Tile &tile, const FormatParams &params)
             shape.ellCooOverflow += row_nnz[r] - hybrid_width;
 
     return shape;
-}
-
-Bytes
-predictedBytes(const TileShape &shape, FormatKind kind,
-               const FormatParams &params)
-{
-    const Bytes p = shape.p;
-    const Bytes nnz = shape.nnz;
-    const Bytes entry = valueBytes + indexBytes;
-    switch (kind) {
-      case FormatKind::Dense:
-        return p * p * valueBytes;
-      case FormatKind::CSR:
-      case FormatKind::CSC:
-        return nnz * entry + p * indexBytes;
-      case FormatKind::BCSR: {
-        const Bytes b = params.bcsrBlock;
-        return Bytes(shape.nnzBlocks) * (b * b * valueBytes +
-                                         indexBytes) +
-               (p / b) * indexBytes;
-      }
-      case FormatKind::COO:
-      case FormatKind::DOK:
-        return nnz * (valueBytes + 2 * indexBytes);
-      case FormatKind::LIL:
-        return (nnz + p) * entry;
-      case FormatKind::ELL: {
-        const Bytes width = std::max<Bytes>(
-            std::min<Bytes>(params.ellMinWidth, p), shape.maxRowNnz);
-        return p * width * entry;
-      }
-      case FormatKind::SELL: {
-        Bytes total = Bytes(shape.sliceWidths.size()) * indexBytes;
-        for (Index width : shape.sliceWidths)
-            total += Bytes(params.sellSlice) * width * entry;
-        return total;
-      }
-      case FormatKind::SELLCS: {
-        Bytes total = Bytes(shape.sortedSliceWidths.size()) *
-                          indexBytes +
-                      p * indexBytes;
-        for (Index width : shape.sortedSliceWidths)
-            total += Bytes(params.sellSlice) * width * entry;
-        return total;
-      }
-      case FormatKind::DIA:
-        return Bytes(shape.nnzDiagonals) * (p + 1) * valueBytes;
-      case FormatKind::JDS:
-        return nnz * entry + p * indexBytes +
-               (Bytes(shape.maxRowNnz) + 1) * indexBytes;
-      case FormatKind::ELLCOO: {
-        const Bytes width = std::min<Bytes>(params.ellCooWidth, p);
-        return p * width * entry +
-               Bytes(shape.ellCooOverflow) *
-                   (valueBytes + 2 * indexBytes);
-      }
-      case FormatKind::BITMAP:
-        return nnz * valueBytes + (p * p + 7) / 8;
-    }
-    panic("predictedBytes: unknown format kind");
 }
 
 StreamClassBytes
@@ -219,20 +158,10 @@ predictedStreamBytes(const TileShape &shape, FormatKind kind,
 }
 
 Bytes
-predictedCompressedBytes(const TileShape &shape, FormatKind kind,
-                         const StreamClassRatios &ratios,
-                         const FormatParams &params)
+predictedBytes(const TileShape &shape, FormatKind kind,
+               const FormatParams &params)
 {
-    const StreamClassBytes raw = predictedStreamBytes(shape, kind,
-                                                      params);
-    const auto scale = [](Bytes bytes, double ratio) {
-        const double scaled = static_cast<double>(bytes) * ratio;
-        return scaled <= 0.0 ? Bytes(0)
-                             : Bytes(std::llround(scaled));
-    };
-    return scale(raw.value, ratios.value) +
-           scale(raw.index, ratios.index) +
-           scale(raw.offset, ratios.offset);
+    return predictedStreamBytes(shape, kind, params).total();
 }
 
 double

@@ -55,7 +55,8 @@ TileShape measureTile(const Tile &tile,
                       const FormatParams &params = FormatParams());
 
 /**
- * Predicted total wire bytes of @p shape in @p kind.
+ * Predicted total wire bytes of @p shape in @p kind: the sum of
+ * predictedStreamBytes() over the three stream classes.
  *
  * Exact for every format: predictedBytes(measureTile(t), k) equals
  * codec(k).encode(t)->totalBytes().
@@ -72,7 +73,7 @@ double predictedUtilization(const TileShape &shape, FormatKind kind,
  * typedStreams() decomposition (typed_stream.hh): values, indices and
  * offsets have very different second-stage compressibility, so the
  * size model exposes the same per-class split the compressor selects
- * over. Invariant (test-verified): total() == predictedBytes().
+ * over. Each class is exact against the codec's typed streams.
  */
 struct StreamClassBytes
 {
@@ -87,29 +88,6 @@ struct StreamClassBytes
 StreamClassBytes
 predictedStreamBytes(const TileShape &shape, FormatKind kind,
                      const FormatParams &params = FormatParams());
-
-/**
- * Measured second-stage ratios (stored bytes / raw bytes) per stream
- * class, e.g. from a calibration run over a workload sample. A plain
- * struct — the size model stays independent of the compressor; 1.0
- * everywhere models the second stage off.
- */
-struct StreamClassRatios
-{
-    double value = 1.0;
-    double index = 1.0;
-    double offset = 1.0;
-};
-
-/**
- * Predicted post-second-stage wire bytes: each class scaled by its
- * measured ratio and rounded. An estimate, not exact — actual stored
- * bytes depend on the stream contents, not just their sizes.
- */
-Bytes predictedCompressedBytes(const TileShape &shape, FormatKind kind,
-                               const StreamClassRatios &ratios,
-                               const FormatParams &params =
-                                   FormatParams());
 
 } // namespace copernicus
 

@@ -9,49 +9,66 @@
 
 namespace copernicus {
 
-namespace {
-
-/** Tile id of one triplet: row-major position in the partition grid. */
-inline std::uint64_t
-tileIdOf(const Triplet &t, Index partitionSize, Index gridCols)
+std::vector<TileBucket>
+bucketTiles(std::span<const Triplet> triplets, Index partitionSize,
+            Index stripBegin, Index stripEnd, Index gridCols)
 {
-    return static_cast<std::uint64_t>(t.row / partitionSize) * gridCols +
-           t.col / partitionSize;
-}
+    // Tile ids are row-major positions local to the strip range, so
+    // sorting ids sorts tiles by (tileRow, tileCol).
+    const auto localIdOf = [&](const Triplet &t) {
+        COPERNICUS_DCHECK(t.row / partitionSize >= stripBegin &&
+                              t.row / partitionSize < stripEnd,
+                          "triplet outside the bucketed strips");
+        return static_cast<std::uint64_t>(t.row / partitionSize -
+                                          stripBegin) *
+                   gridCols +
+               t.col / partitionSize;
+    };
+    const std::uint64_t grid =
+        static_cast<std::uint64_t>(stripEnd - stripBegin) * gridCols;
 
-/**
- * Occupied tile ids in row-major order plus the entry count of each.
- *
- * Counting over a dense per-tile array is the O(nnz + grid) fast path;
- * a hash map plus one sort of the *occupied* ids (O(nnz + t log t))
- * covers grids too large to allocate densely (huge hypersparse
- * matrices at small p).
- */
-std::vector<std::pair<std::uint64_t, Index>>
-countTileEntries(const TripletMatrix &matrix, Index partitionSize,
-                 Index gridCols, std::uint64_t grid)
-{
+    // Occupied tile ids plus the entry count of each. Counting over a
+    // dense per-tile array is the O(nnz + grid) fast path; a hash map
+    // plus one sort of the *occupied* ids (O(nnz + t log t)) covers
+    // grids too large to allocate densely (huge hypersparse matrices
+    // at small p).
     std::vector<std::pair<std::uint64_t, Index>> occupied;
     constexpr std::uint64_t denseGridLimit = 1ULL << 24;
     if (grid <= denseGridLimit) {
         std::vector<Index> counts(grid, 0);
-        for (const Triplet &t : matrix.triplets())
-            ++counts[tileIdOf(t, partitionSize, gridCols)];
+        for (const Triplet &t : triplets)
+            ++counts[localIdOf(t)];
         for (std::uint64_t id = 0; id < grid; ++id)
             if (counts[id] != 0)
                 occupied.emplace_back(id, counts[id]);
     } else {
         std::unordered_map<std::uint64_t, Index> counts;
-        counts.reserve(matrix.nnz());
-        for (const Triplet &t : matrix.triplets())
-            ++counts[tileIdOf(t, partitionSize, gridCols)];
+        counts.reserve(triplets.size());
+        for (const Triplet &t : triplets)
+            ++counts[localIdOf(t)];
         occupied.assign(counts.begin(), counts.end());
         std::sort(occupied.begin(), occupied.end());
     }
-    return occupied;
-}
 
-} // namespace
+    // Stable scatter: the run is in canonical order, so every bucket
+    // comes out sorted row-major in tile-local coordinates — exactly
+    // the canonical nonzero stream the Tile constructor wants.
+    std::unordered_map<std::uint64_t, std::size_t> slotOf;
+    slotOf.reserve(occupied.size());
+    std::vector<TileBucket> buckets(occupied.size());
+    for (std::size_t i = 0; i < occupied.size(); ++i) {
+        const std::uint64_t id = occupied[i].first;
+        slotOf.emplace(id, i);
+        buckets[i].tileRow = stripBegin + static_cast<Index>(id / gridCols);
+        buckets[i].tileCol = static_cast<Index>(id % gridCols);
+        buckets[i].nonzeros.reserve(occupied[i].second);
+    }
+    for (const Triplet &t : triplets) {
+        buckets[slotOf.find(localIdOf(t))->second].nonzeros.push_back(
+            {t.row % partitionSize, t.col % partitionSize, t.value});
+    }
+    return buckets;
+}
 
 Partitioning
 partition(const TripletMatrix &matrix, Index partitionSize)
@@ -68,37 +85,17 @@ partition(const TripletMatrix &matrix, Index partitionSize)
     const std::uint64_t grid =
         static_cast<std::uint64_t>(result.gridRows) * result.gridCols;
 
-    // Single-pass bucket sort by tile id. finalize() ordered the
-    // triplets row-major, so a stable scatter leaves every bucket
-    // sorted row-major in tile-local coordinates — exactly the
-    // canonical nonzero stream the Tile constructor wants. Entries
-    // that summed to zero during finalize() never reach here, so
-    // every bucketed tile is genuinely non-zero.
-    const auto occupied =
-        countTileEntries(matrix, partitionSize, result.gridCols, grid);
-
-    std::unordered_map<std::uint64_t, std::size_t> slotOf;
-    slotOf.reserve(occupied.size());
-    std::vector<std::vector<TileNonzero>> buckets(occupied.size());
-    for (std::size_t i = 0; i < occupied.size(); ++i) {
-        slotOf.emplace(occupied[i].first, i);
-        buckets[i].reserve(occupied[i].second);
-    }
-    for (const Triplet &t : matrix.triplets()) {
-        const std::uint64_t id =
-            tileIdOf(t, partitionSize, result.gridCols);
-        buckets[slotOf.find(id)->second].push_back(
-            {t.row % partitionSize, t.col % partitionSize, t.value});
-    }
-
-    result.tiles.reserve(occupied.size());
-    for (std::size_t i = 0; i < occupied.size(); ++i) {
-        const std::uint64_t id = occupied[i].first;
-        result.tiles.emplace_back(
-            partitionSize, static_cast<Index>(id / result.gridCols),
-            static_cast<Index>(id % result.gridCols),
-            std::move(buckets[i]));
-    }
+    // finalize() ordered the triplets row-major and dropped entries
+    // that summed to zero, so one bucketing of the whole matrix yields
+    // every genuinely non-zero tile.
+    std::vector<TileBucket> buckets =
+        bucketTiles(matrix.triplets(), partitionSize, 0, result.gridRows,
+                    result.gridCols);
+    result.tiles.reserve(buckets.size());
+    for (TileBucket &bucket : buckets)
+        result.tiles.emplace_back(partitionSize, bucket.tileRow,
+                                  bucket.tileCol,
+                                  std::move(bucket.nonzeros));
     result.zeroTiles = grid - result.tiles.size();
     return result;
 }

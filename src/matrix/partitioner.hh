@@ -9,6 +9,7 @@
 #define COPERNICUS_MATRIX_PARTITIONER_HH
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "matrix/tile.hh"
@@ -44,6 +45,38 @@ struct Partitioning
                           : static_cast<double>(tiles.size()) / total;
     }
 };
+
+/** The non-zeros of one occupied tile, in canonical row-major order. */
+struct TileBucket
+{
+    Index tileRow = 0;
+    Index tileCol = 0;
+    std::vector<TileNonzero> nonzeros;
+};
+
+/**
+ * The partitioning kernel: bucket a canonical-order run of triplets
+ * into per-tile non-zero streams.
+ *
+ * Every partitioner runs through this one function — partition() on
+ * the whole matrix at once, the streaming partitioner
+ * (store/stream_partitioner.hh) on one pass buffer at a time — so the
+ * two produce the same tiles by construction. It returns buckets
+ * rather than Tiles (each of which owns a dense p x p store) so that
+ * a caller can free its triplets before it builds the first Tile.
+ *
+ * @param triplets Triplets in canonical (row, col) order, all inside
+ *        tile-row strips [@p stripBegin, @p stripEnd).
+ * @param partitionSize Edge length p of each tile.
+ * @param stripBegin First tile-row strip the run covers.
+ * @param stripEnd One past the last tile-row strip the run covers.
+ * @param gridCols Tile columns of the partition grid.
+ * @return One bucket per occupied tile, in (tileRow, tileCol) order.
+ */
+std::vector<TileBucket> bucketTiles(std::span<const Triplet> triplets,
+                                    Index partitionSize,
+                                    Index stripBegin, Index stripEnd,
+                                    Index gridCols);
 
 /**
  * Partition @p matrix into @p partitionSize x @p partitionSize tiles.

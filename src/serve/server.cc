@@ -885,6 +885,12 @@ Server::handlePayload(const std::shared_ptr<Conn> &conn,
     }
 
     *statsFor(request.endpoint).accepted += 1;
+    // Close admission before the loop reads the next request: one that
+    // arrives after shutdown, even pipelined on this connection, must
+    // be refused. The shutdown request keeps its admission slot until
+    // its response is in the tx buffer, so the drain still delivers it.
+    if (request.endpoint == Endpoint::Shutdown)
+        beginShutdown();
     // The shared_ptr keeps the Conn (and its fd) alive until the
     // handler is done with it even if the client disconnects
     // mid-request; the loop never blocks on this work.
@@ -1037,12 +1043,6 @@ Server::runRequest(std::shared_ptr<Conn> conn, ServeRequest request,
     }
     respond(conn, stream.binary, stream.streamId, response);
     releaseAdmission();
-
-    // The shutdown endpoint's response must reach the tx buffer before
-    // the drain can race the connection teardown, so drain starts
-    // last.
-    if (request.endpoint == Endpoint::Shutdown)
-        beginShutdown();
 }
 
 void

@@ -2,22 +2,27 @@
  * @file
  * Bounded-memory streaming partitioner.
  *
- * matrix/partitioner.cc materializes the whole triplet array and all
- * tile buckets at once — fine for the surrogate catalog, hopeless for
- * the 100M+-nnz SuiteSparse drops of Table 1. This generalization
- * makes several passes over a re-scannable TripletSource, each pass
- * covering a contiguous range of tile-row strips whose combined
- * non-zero count fits a configurable budget, and emits exactly the
- * Tiles the in-memory path would: same canonical nonzero streams,
- * same eagerly-installed SparseView/TileStats, byte-identical inputs
- * to all 14 codecs and the encode cache.
+ * partition() buckets a whole in-memory triplet array at once — fine
+ * for the surrogate catalog, hopeless for the 100M+-nnz SuiteSparse
+ * drops of Table 1. forEachTileStreaming() instead makes several
+ * passes over a re-scannable TripletSource, each pass covering a
+ * contiguous range of tile-row strips whose combined non-zero count
+ * fits a configurable budget. Each pass buffer goes through the same
+ * kernel as partition() (bucketTiles(), matrix/partitioner.hh), so
+ * the emitted Tiles are the in-memory ones by construction: same
+ * canonical nonzero streams, same eagerly-installed
+ * SparseView/TileStats, byte-identical inputs to all 14 codecs and the
+ * encode cache. A caller that wants a whole Partitioning from a
+ * source collects the tiles from the callback.
  *
  * Memory contract (documented in DESIGN.md §12): one pass buffers at
  * most max(maxBufferedNnz, heaviest single strip) triplets, plus an
  * equal-sized set of scatter buckets and an O(gridRows) strip-count
  * array — so peak transient footprint is ~2 x 12 bytes x that bound,
- * independent of total matrix size. The source is scanned passes + 1
- * times (one counting pass up front).
+ * independent of total matrix size. The pass buffer is freed before
+ * the pass's first Tile is built, and Tiles are handed off one at a
+ * time. The source is scanned passes + 1 times (one counting pass up
+ * front).
  */
 
 #ifndef COPERNICUS_STORE_STREAM_PARTITIONER_HH
@@ -78,19 +83,6 @@ StreamPartitionStats
 forEachTileStreaming(const TripletSource &source, Index partitionSize,
                      const StreamPartitionOptions &options,
                      const std::function<void(Tile &&)> &consume);
-
-/**
- * Streaming drop-in for partition(): identical Partitioning (same
- * tiles, same order, same grid bookkeeping), built in bounded-memory
- * passes. The result itself still holds every tile — use
- * forEachTileStreaming() when the consumer can stream too.
- *
- * @param stats Optional out-param receiving the pass statistics.
- */
-Partitioning
-partitionStreaming(const TripletSource &source, Index partitionSize,
-                   const StreamPartitionOptions &options = {},
-                   StreamPartitionStats *stats = nullptr);
 
 } // namespace copernicus
 

@@ -12,6 +12,7 @@
  */
 
 #include <cstring>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "matrix/partitioner.hh"
 #include "trace/span.hh"
 #include "workloads/generators.hh"
+#include "workloads/suite_catalog.hh"
 
 namespace copernicus {
 namespace {
@@ -225,6 +227,35 @@ TEST(Compress, CompressTileNeverExceedsRawBytes)
                                       Bytes(0)));
         }
     }
+}
+
+/**
+ * Stored bytes are a function of the tile alone: compressing the same
+ * tiles in reverse order on one thread — so every match table starts
+ * from a different history — must not change a single result.
+ */
+TEST(Compress, StoredBytesDoNotDependOnOrder)
+{
+    const FormatRegistry &registry = defaultRegistry();
+    std::vector<std::unique_ptr<EncodedTile>> encoded;
+    for (const SuiteMatrixInfo &entry : suiteCatalog()) {
+        SuiteMatrixInfo scaled = entry;
+        scaled.surrogateDim = 256;
+        TripletMatrix matrix = scaled.generate(0xC0FFEE);
+        matrix.finalize();
+        for (const Tile &tile : partition(matrix, 16).tiles)
+            for (FormatKind kind : paperFormats())
+                encoded.push_back(registry.codec(kind).encode(tile));
+    }
+
+    std::vector<Bytes> forward(encoded.size());
+    for (std::size_t i = 0; i < encoded.size(); ++i)
+        forward[i] = compressTile(*encoded[i]).storedBytes();
+    std::size_t differing = 0;
+    for (std::size_t i = encoded.size(); i-- > 0;)
+        differing +=
+            compressTile(*encoded[i]).storedBytes() != forward[i];
+    EXPECT_EQ(differing, 0u) << "of " << encoded.size() << " tiles";
 }
 
 TEST(Compress, StorePolicyIsIdentityAccounting)

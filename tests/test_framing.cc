@@ -405,6 +405,22 @@ TEST_F(FramingServerTest, MultiplexedResponsesClaimedOutOfOrder)
     EXPECT_TRUE(c.awaitCall(first).boolOr("ok", false));
 }
 
+TEST_F(FramingServerTest, RequestPipelinedBehindShutdownIsRefused)
+{
+    startServer();
+    ServeClient c = binaryClient();
+
+    // The ping is on the wire before the shutdown is answered; the
+    // drain starts when the shutdown is admitted, so the ping must be
+    // shed however fast it follows.
+    const std::uint64_t shutdown = c.startCall("shutdown");
+    const std::uint64_t ping = c.startCall("ping");
+    const JsonValue late = c.awaitCall(ping);
+    EXPECT_FALSE(late.boolOr("ok", true));
+    EXPECT_EQ(late.stringOr("error", ""), "shutting_down");
+    EXPECT_TRUE(c.awaitCall(shutdown).boolOr("ok", false));
+}
+
 TEST_F(FramingServerTest, CancelStreamLeavesSiblingUnaffected)
 {
     startServer([](ServeOptions &options) { options.workers = 2; });

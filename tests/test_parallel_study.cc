@@ -59,13 +59,14 @@ expectRowsIdentical(const std::vector<StudyRow> &a,
 }
 
 StudyResult
-runStudy(unsigned jobs)
+runStudy(unsigned jobs, bool secondStageCompression = false)
 {
     Rng rngRandom(11);
     Rng rngBand(12);
     StudyConfig cfg;
     cfg.partitionSizes = {8, 16};
     cfg.jobs = jobs;
+    cfg.hls.secondStageCompression = secondStageCompression;
     Study study(cfg);
     study.addWorkload("random", randomMatrix(96, 0.05, rngRandom));
     study.addWorkload("band", bandMatrix(96, 4, rngBand));
@@ -97,6 +98,12 @@ TEST_F(ParallelStudyTest, RunIsBitIdenticalAcrossJobsSettings)
     const StudyResult serial = runStudy(1);
     const StudyResult parallel = runStudy(4);
     expectRowsIdentical(serial.rows, parallel.rows);
+
+    // Second-stage stored bytes feed the memory model; they too must
+    // not depend on which lane compressed which tile, or in what order.
+    const StudyResult serialCompressed = runStudy(1, true);
+    const StudyResult parallelCompressed = runStudy(4, true);
+    expectRowsIdentical(serialCompressed.rows, parallelCompressed.rows);
 }
 
 TEST_F(ParallelStudyTest, RunIsBitIdenticalWithCacheOnAndOff)

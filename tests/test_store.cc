@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/math.hh"
 #include "common/rng.hh"
 #include "common/status.hh"
 #include "core/study.hh"
@@ -228,6 +229,29 @@ expectPartitioningsEqual(const Partitioning &a, const Partitioning &b)
     }
 }
 
+/**
+ * Collect every tile forEachTileStreaming() emits into a Partitioning,
+ * so the streamed result compares field by field with partition().
+ */
+Partitioning
+collectStreamed(const TripletSource &source, Index p,
+                const StreamPartitionOptions &opts,
+                StreamPartitionStats *stats = nullptr)
+{
+    Partitioning result;
+    result.partitionSize = p;
+    result.gridRows = static_cast<Index>(ceilDiv(source.rows(), p));
+    result.gridCols = static_cast<Index>(ceilDiv(source.cols(), p));
+    const StreamPartitionStats run = forEachTileStreaming(
+        source, p, opts, [&result](Tile &&tile) {
+            result.tiles.push_back(std::move(tile));
+        });
+    result.zeroTiles = run.zeroTiles;
+    if (stats != nullptr)
+        *stats = run;
+    return result;
+}
+
 TEST(StreamPartitioner, MatchesInMemoryAcrossShapes)
 {
     std::vector<TripletMatrix> matrices;
@@ -248,7 +272,7 @@ TEST(StreamPartitioner, MatchesInMemoryAcrossShapes)
             opts.maxBufferedNnz = 512; // force several passes
             StreamPartitionStats stats;
             const Partitioning got =
-                partitionStreaming(source, p, opts, &stats);
+                collectStreamed(source, p, opts, &stats);
             expectPartitioningsEqual(expect, got);
             EXPECT_EQ(stats.nonZeroTiles, got.tiles.size());
             EXPECT_EQ(stats.sourceScans, stats.passes + 1);
@@ -263,7 +287,7 @@ TEST(StreamPartitioner, OneNnzBudgetStillExact)
     StreamPartitionOptions opts;
     opts.maxBufferedNnz = 1; // every strip is its own oversized pass
     StreamPartitionStats stats;
-    const Partitioning got = partitionStreaming(source, 8, opts, &stats);
+    const Partitioning got = collectStreamed(source, 8, opts, &stats);
     expectPartitioningsEqual(partition(m, 8), got);
     EXPECT_GT(stats.passes, 1u);
 }
@@ -274,12 +298,56 @@ TEST(StreamPartitioner, EmptyMatrixYieldsNoTiles)
     empty.finalize();
     const TripletMatrixSource source(empty);
     StreamPartitionStats stats;
-    const Partitioning got =
-        partitionStreaming(source, 8, {}, &stats);
+    const Partitioning got = collectStreamed(source, 8, {}, &stats);
     EXPECT_TRUE(got.tiles.empty());
     EXPECT_EQ(got.gridRows, 4u);
     EXPECT_EQ(got.gridCols, 4u);
     EXPECT_EQ(stats.passes, 0u);
+    EXPECT_EQ(stats.zeroTiles, 16u);
+}
+
+/**
+ * The whole grid of a hypersparse matrix is past the dense counting
+ * limit (1 << 24 tiles), so partition() counts through the hash map;
+ * a small pass budget keeps every streaming pass on the dense side.
+ * Both sides of the switch must produce the same tiles.
+ */
+TEST(StreamPartitioner, HypersparseDensePassesMatchHashedInMemory)
+{
+    const Index n = 40000;
+    const Index p = 8;
+    Rng rng(0x5EED);
+    TripletMatrix m(n, n);
+    // One nonzero in every tile-row strip...
+    for (Index strip = 0; strip < n / p; ++strip)
+        m.add(strip * p + static_cast<Index>(rng.below(p)),
+              static_cast<Index>(rng.below(n)),
+              static_cast<Value>(1 + strip % 7));
+    // ...and one tile holding several, to pin the in-bucket order.
+    for (Index k = 0; k < 5; ++k)
+        m.add(17 * p + k, 4242 * p + (p - 1 - k),
+              static_cast<Value>(10 + k));
+    m.finalize();
+    const Partitioning expect = partition(m, p);
+    ASSERT_GT(static_cast<std::uint64_t>(expect.gridRows) *
+                  expect.gridCols,
+              1ULL << 24);
+
+    const TripletMatrixSource source(m);
+    StreamPartitionOptions opts;
+    // Every strip is occupied, so a pass spans at most 1000 strips:
+    // 1000 x 5000 = 5M local tiles, under the 1 << 24 limit.
+    opts.maxBufferedNnz = 1000;
+    StreamPartitionStats stats;
+    expectPartitioningsEqual(expect,
+                             collectStreamed(source, p, opts, &stats));
+    EXPECT_GE(stats.passes, 5u);
+    EXPECT_LE(stats.peakBufferedNnz, 1000u);
+
+    // One pass over the whole grid takes the hashed side again.
+    expectPartitioningsEqual(expect,
+                             collectStreamed(source, p, {}, &stats));
+    EXPECT_EQ(stats.passes, 1u);
 }
 
 /**
@@ -307,7 +375,7 @@ TEST(StreamPartitioner, GoldenRoundtripOverCatalog)
         const Partitioning expect = partition(m, 16);
         StreamPartitionOptions opts;
         opts.maxBufferedNnz = 700; // several passes over the mmap
-        const Partitioning got = partitionStreaming(reader, 16, opts);
+        const Partitioning got = collectStreamed(reader, 16, opts);
         {
             SCOPED_TRACE("catalog " + entry.id);
             expectPartitioningsEqual(expect, got);

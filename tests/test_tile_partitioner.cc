@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
 #include "common/rng.hh"
 #include "kernels/spmv.hh"
 #include "matrix/csr_matrix.hh"
@@ -158,6 +161,54 @@ TEST(PartitionerTest, ValuesLandAtCorrectLocalCoordinates)
                 ASSERT_FLOAT_EQ(tile(r, c), expected);
             }
         }
+    }
+}
+
+TEST(PartitionerTest, HypersparseGridPlacesEveryNonzero)
+{
+    // 5000 x 5000 = 25M tiles: past the 1 << 24 limit of the dense
+    // per-tile count array, so counting goes through the hash map.
+    const Index n = 40000;
+    const Index p = 8;
+    Rng rng(0xC0DE);
+    TripletMatrix m(n, n);
+    for (int k = 0; k < 3000; ++k)
+        m.add(static_cast<Index>(rng.below(n)),
+              static_cast<Index>(rng.below(n)),
+              static_cast<Value>(1 + k % 7));
+    // Several nonzeros in one tile, out of order, plus its neighbours.
+    for (Index k = 0; k < 5; ++k)
+        m.add(17 * p + (p - 1 - k), 4242 * p + k,
+              static_cast<Value>(10 + k));
+    m.add(17 * p, 4243 * p, 20.0f);
+    m.add(18 * p, 4242 * p, 21.0f);
+    m.finalize();
+
+    const auto parts = partition(m, p);
+    const std::uint64_t grid =
+        static_cast<std::uint64_t>(parts.gridRows) * parts.gridCols;
+    ASSERT_GT(grid, 1ULL << 24);
+    EXPECT_EQ(parts.totalTiles(), grid);
+
+    std::map<std::pair<Index, Index>, const Tile *> byCoord;
+    for (const auto &tile : parts.tiles) {
+        const std::pair<Index, Index> coord(tile.tileRow(),
+                                            tile.tileCol());
+        if (!byCoord.empty()) {
+            ASSERT_LT(byCoord.rbegin()->first, coord)
+                << "tiles out of (tileRow, tileCol) order";
+        }
+        byCoord.emplace(coord, &tile);
+    }
+    std::size_t total = 0;
+    for (const auto &tile : parts.tiles)
+        total += tile.nnz();
+    EXPECT_EQ(total, m.nnz());
+    for (const Triplet &t : m.triplets()) {
+        const auto it = byCoord.find({t.row / p, t.col / p});
+        ASSERT_NE(it, byCoord.end())
+            << "nonzero (" << t.row << ", " << t.col << ") has no tile";
+        ASSERT_FLOAT_EQ((*it->second)(t.row % p, t.col % p), t.value);
     }
 }
 

@@ -28,6 +28,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -262,11 +263,21 @@ class Tile
     /** Raw row-major storage. */
     const std::vector<Value> &data() const { return store; }
 
-    /** Equality compares contents only, not grid coordinates. */
+    /**
+     * Equality compares contents only, not grid coordinates. Every
+     * priced tile is checked against its decoded copy, so identical
+     * bytes short-circuit the element-wise comparison, which only
+     * decides ties such as -0 vs +0.
+     */
     friend bool
     operator==(const Tile &a, const Tile &b)
     {
-        return a.p == b.p && a.store == b.store;
+        if (a.p != b.p || a.store.size() != b.store.size())
+            return false;
+        return a.store.empty() ||
+               std::memcmp(a.store.data(), b.store.data(),
+                           a.store.size() * sizeof(Value)) == 0 ||
+               a.store == b.store;
     }
 
   private:

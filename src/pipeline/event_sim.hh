@@ -2,17 +2,18 @@
  * @file
  * Event-driven simulation of the Figure-2 pipeline.
  *
- * Where stream_pipeline.cc charges each partition the maximum of its
- * stage latencies (the steady-state bound), this simulator schedules
- * every stage of every partition explicitly under double buffering:
- * the read of partition i may start once the read of i-1 finished and
- * the compute of i-2 released its input buffer; compute needs its own
- * read done and the previous compute done; write needs its compute
- * done and the previous write done. The result is an exact timeline
- * with per-stage busy/stall accounting, used by tests to bound the
- * analytic model and by the ablation bench to show where bubbles come
- * from (the paper's "imbalance streaming leads to idle computation or
- * pauses in data transfer").
+ * Each partition's stage costs come from timeTile()
+ * (stream_pipeline.hh), the same per-tile cost runPipeline() charges;
+ * instead of the steady-state max of the three, this simulator
+ * schedules every stage of every partition explicitly under double
+ * buffering: the read of partition i may start once the read of i-1
+ * finished and the compute of i-2 released its input buffer; compute
+ * needs its own read done and the previous compute done; write needs
+ * its compute done and the previous write done. The result is an exact
+ * timeline with per-stage busy/stall accounting, used by tests to
+ * bound the analytic model and by the ablation bench to show where
+ * bubbles come from (the paper's "imbalance streaming leads to idle
+ * computation or pauses in data transfer").
  */
 
 #ifndef COPERNICUS_PIPELINE_EVENT_SIM_HH
@@ -69,8 +70,8 @@ struct EventSimResult
  *        stages: the read of partition i waits for the compute of
  *        partition i - inputBuffers to release its slot (2 = the
  *        classic ping-pong double buffer).
- * @param sink Timeline sink; null falls back to activeTraceSink()
- *        (null again = tracing off). Emits read/compute/write duration
+ * @param sink Timeline sink, resolved by resolveTraceSink() (null =
+ *        activeTraceSink(), `&noTraceSink()` = off). Emits read/compute/write duration
  *        events per partition plus bw_util and sigma counters; never
  *        affects the returned cycles.
  */

@@ -5,9 +5,11 @@
  * be aggregated for implementing coarse-grain parallelism",
  * Section 5.1).
  *
- * Non-zero partitions are distributed across processing elements (PEs)
- * and every PE runs the single-pipeline model independently; the
- * slowest PE bounds the parallel compute time. All PEs share one DDR3
+ * Non-zero partitions are priced once by timeTile()
+ * (stream_pipeline.hh), the per-tile cost runPipeline() charges, and
+ * distributed across processing elements (PEs). Every PE runs the
+ * steady-state single-pipeline model independently; the slowest PE
+ * bounds the parallel compute time. All PEs share one DDR3
  * channel, so the aggregate transfer demand also bounds the run — the
  * model reports which of the two limits binds, which is exactly the
  * balance question of Section 6.2 at the system level.
@@ -66,8 +68,8 @@ struct ParallelResult
  * @param schedule Tile-assignment policy.
  * @param config Platform parameters (shared by every PE).
  * @param registry Codec source.
- * @param sink Timeline sink; null falls back to activeTraceSink()
- *        (null again = tracing off). Emits one lane track per PE
+ * @param sink Timeline sink, resolved by resolveTraceSink() (null =
+ *        activeTraceSink(), `&noTraceSink()` = off). Emits one lane track per PE
  *        ("pe0", "pe1", ...) with each assigned tile as a slot of its
  *        bottleneck cycles; the internal single-PE baseline run used
  *        for the speedup figure is never traced. Never affects the

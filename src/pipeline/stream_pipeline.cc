@@ -12,20 +12,65 @@
 
 namespace copernicus {
 
+PartitionTiming
+timeTile(const Tile &tile, FormatKind kind, const HlsConfig &config,
+         const FormatRegistry &registry)
+{
+    const auto encoded = encodeCached(registry, kind, tile);
+    if (grammarValidationEnabled()) {
+        const GrammarReport report = validateEncodedTile(*encoded);
+        panicIf(!report.ok(),
+                "pipeline: encoded tile violates its format grammar:\n" +
+                    report.toString());
+    }
+    const auto decomp = simulateDecompression(*encoded, config);
+    panicIf(!(decomp.decoded == tile),
+            "pipeline: decompressor model corrupted a tile");
+
+    // Both the multiplied vector segment and the partial output vector
+    // streamed back are p values long.
+    const Bytes vector_bytes = Bytes(tile.size()) * valueBytes;
+    PartitionTiming timing;
+    auto streams = encoded->streams();
+    timing.totalBytes = encoded->totalBytes();
+    if (config.secondStageCompression) {
+        // The DDR interface sees post-compression stream images;
+        // useful bytes are untouched, so utilization can only rise.
+        const TileCompression comp = compressTile(*encoded);
+        streams = comp.storedStreamBytes();
+        timing.totalBytes = comp.storedBytes();
+    }
+    if (config.streamVectorOperand)
+        streams.push_back(vector_bytes);
+    timing.memoryCycles = transferCycles(streams, config);
+    timing.decompressCycles = decomp.decompressCycles;
+    timing.rowsProduced = decomp.rowsProduced;
+    timing.computeCycles = computeCycles(decomp, config);
+    timing.writeCycles = writebackCycles(vector_bytes, config);
+    timing.sigma = sigmaOverhead(decomp, tile.size(), config);
+    timing.usefulBytes = encoded->usefulBytes();
+    return timing;
+}
+
 namespace {
 
-/** Shared core: stream tiles with a per-tile format lookup. */
+/**
+ * Shared core: stream tiles with a per-tile format lookup, tracing
+ * into scope "pipeline.<label>.p<p>".
+ */
 PipelineResult
 runImpl(const Partitioning &parts,
         const std::vector<FormatKind> &perTile, const HlsConfig &config,
-        const FormatRegistry &registry, TraceSink *trace)
+        const FormatRegistry &registry, TraceSink *sink,
+        std::string_view label)
 {
+    TraceSink *trace = resolveTraceSink(sink);
+    if (trace != nullptr) {
+        trace->beginScope("pipeline." + std::string(label) + ".p" +
+                          std::to_string(parts.partitionSize));
+    }
     PipelineResult result;
     result.partitionSize = parts.partitionSize;
-
-    const Index p = parts.partitionSize;
-    // The partial output vector streamed back per partition.
-    const Bytes out_bytes = Bytes(p) * valueBytes;
 
     double balance_sum = 0;
     double sigma_sum = 0;
@@ -35,38 +80,8 @@ runImpl(const Partitioning &parts,
     // exposed, then each partition's slot advances by its bottleneck.
     Cycles trace_clock = 0;
     for (std::size_t i = 0; i < parts.tiles.size(); ++i) {
-        const Tile &tile = parts.tiles[i];
-        const auto encoded = encodeCached(registry, perTile[i], tile);
-        if (grammarValidationEnabled()) {
-            const GrammarReport report = validateEncodedTile(*encoded);
-            panicIf(!report.ok(),
-                    "pipeline: encoded tile violates its format "
-                    "grammar:\n" +
-                        report.toString());
-        }
-        const auto decomp = simulateDecompression(*encoded, config);
-        panicIf(!(decomp.decoded == tile),
-                "pipeline: decompressor model corrupted a tile");
-
-        PartitionTiming timing;
-        auto streams = encoded->streams();
-        timing.totalBytes = encoded->totalBytes();
-        if (config.secondStageCompression) {
-            // The DDR interface sees post-compression stream images;
-            // useful bytes are untouched, so utilization can only rise.
-            const TileCompression comp = compressTile(*encoded);
-            streams = comp.storedStreamBytes();
-            timing.totalBytes = comp.storedBytes();
-        }
-        if (config.streamVectorOperand)
-            streams.push_back(Bytes(p) * valueBytes);
-        timing.memoryCycles = transferCycles(streams, config);
-        timing.decompressCycles = decomp.decompressCycles;
-        timing.rowsProduced = decomp.rowsProduced;
-        timing.computeCycles = computeCycles(decomp, config);
-        timing.writeCycles = writebackCycles(out_bytes, config);
-        timing.sigma = sigmaOverhead(decomp, p, config);
-        timing.usefulBytes = encoded->usefulBytes();
+        const PartitionTiming timing =
+            timeTile(parts.tiles[i], perTile[i], config, registry);
 
         result.totalMemoryCycles += timing.memoryCycles;
         result.totalComputeCycles += timing.computeCycles;
@@ -87,7 +102,7 @@ runImpl(const Partitioning &parts,
             if (result.partitions.empty())
                 trace_clock = fill_first;
             const std::string name =
-                "p" + std::to_string(result.partitions.size());
+                partitionEventName(result.partitions.size());
             trace->durationEvent(
                 "read", name, trace_clock,
                 trace_clock + timing.memoryCycles);
@@ -142,17 +157,9 @@ runPipeline(const Partitioning &parts, FormatKind kind,
             const HlsConfig &config, const FormatRegistry &registry,
             TraceSink *sink)
 {
-    TraceSink *trace = sink != nullptr ? sink : activeTraceSink();
-    if (trace == &noTraceSink())
-        trace = nullptr;
-    if (trace != nullptr) {
-        trace->beginScope("pipeline." +
-                          std::string(formatName(kind)) + ".p" +
-                          std::to_string(parts.partitionSize));
-    }
     const std::vector<FormatKind> per_tile(parts.tiles.size(), kind);
     PipelineResult result = runImpl(parts, per_tile, config, registry,
-                                    trace);
+                                    sink, formatName(kind));
     result.format = kind;
     return result;
 }
@@ -165,15 +172,8 @@ runPipelineMixed(const Partitioning &parts,
 {
     fatalIf(perTile.size() != parts.tiles.size(),
             "runPipelineMixed: one format per non-zero tile required");
-    TraceSink *trace = sink != nullptr ? sink : activeTraceSink();
-    if (trace == &noTraceSink())
-        trace = nullptr;
-    if (trace != nullptr) {
-        trace->beginScope("pipeline.mixed.p" +
-                          std::to_string(parts.partitionSize));
-    }
     PipelineResult result = runImpl(parts, perTile, config, registry,
-                                    trace);
+                                    sink, "mixed");
 
     // Report the majority format for summary displays.
     std::map<FormatKind, std::size_t> counts;

@@ -104,6 +104,31 @@ struct PipelineResult
 };
 
 /**
+ * The cost of one partition (Section 4.2): memory-read latency of its
+ * compressed streams, compute = decompression + dot products,
+ * write-back of the partial result, and sigma. This is the one place a
+ * tile is priced: runPipeline(), runPipelineMixed(), runEventSim() and
+ * runParallel() schedule its stages, and planFormats() scores
+ * candidates with it, so every HlsConfig knob reaches all of them.
+ *
+ * In order: encode through the shared encode cache, check the tile
+ * grammar when enabled, walk the decompressor (panicking if it does not
+ * reproduce @p tile), apply second-stage compression when
+ * `config.secondStageCompression` is set, add the p-value vector
+ * operand as one more read stream when `config.streamVectorOperand` is
+ * set, then charge transfer, compute and write-back cycles.
+ *
+ * @param tile Non-zero partition; its size() is the partition size p.
+ * @param kind Format the partition is encoded in.
+ * @param config Platform parameters.
+ * @param registry Codec source.
+ * @return Stage cycles, sigma and bytes of the partition.
+ */
+PartitionTiming timeTile(const Tile &tile, FormatKind kind,
+                         const HlsConfig &config,
+                         const FormatRegistry &registry);
+
+/**
  * Stream every non-zero partition of @p parts through the platform with
  * tiles encoded in @p kind.
  *
@@ -111,13 +136,12 @@ struct PipelineResult
  * @param kind Compression format under study.
  * @param config Platform parameters.
  * @param registry Codec source (paper defaults).
- * @param sink Timeline sink; null falls back to activeTraceSink()
- *        (null again = tracing off), and `&noTraceSink()` forces
+ * @param sink Timeline sink, resolved by resolveTraceSink(): null
+ *        falls back to activeTraceSink(), and `&noTraceSink()` forces
  *        tracing off — the parallel sweep paths pass it so workers
  *        never touch the single-threaded writer. The analytic model
- *        has no exact
- *        event times, so partitions are laid out on a steady-state
- *        clock — each slot advances by its bottleneck stage — with
+ *        has no exact event times, so partitions are laid out on a
+ *        steady-state clock — each slot advances by its bottleneck stage — with
  *        sigma and bw_util counters per partition. Never affects the
  *        returned metrics.
  * @return Aggregate and per-partition metrics.

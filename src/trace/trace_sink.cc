@@ -42,4 +42,22 @@ noTraceSink()
     return sink;
 }
 
+TraceSink *
+resolveTraceSink(TraceSink *sink)
+{
+    if (sink == nullptr)
+        sink = globalSink;
+    return sink == &noTraceSink() ? nullptr : sink;
+}
+
+std::string
+partitionEventName(std::size_t index)
+{
+    // Appending (rather than "p" + std::to_string(...)) sidesteps a
+    // GCC 12 -O3 false -Wrestrict positive that -Werror would reject.
+    std::string name = "p";
+    name += std::to_string(index);
+    return name;
+}
+
 } // namespace copernicus

@@ -18,6 +18,8 @@
 #ifndef COPERNICUS_TRACE_TRACE_SINK_HH
 #define COPERNICUS_TRACE_TRACE_SINK_HH
 
+#include <cstddef>
+#include <string>
 #include <string_view>
 
 #include "common/types.hh"
@@ -70,13 +72,24 @@ void setActiveTraceSink(TraceSink *sink);
 /**
  * Sentinel sink meaning "force tracing off for this call". Passing
  * `&noTraceSink()` as an explicit sink argument suppresses the
- * activeTraceSink() fallback; the simulators recognise the address and
- * skip emission entirely. The parallel sweep paths use this: the
- * per-partition timeline of interleaved workers is meaningless, and
- * TraceWriter is single-threaded by design (worker activity is instead
- * reported as pool lanes, see ThreadPool::setLaneRecording).
+ * activeTraceSink() fallback; resolveTraceSink() maps the address to
+ * null, so the simulators skip emission entirely. The parallel sweep
+ * paths use this: the per-partition timeline of interleaved workers is
+ * meaningless, and TraceWriter is single-threaded by design (worker
+ * activity is instead reported as pool lanes, see
+ * ThreadPool::setLaneRecording).
  */
 TraceSink &noTraceSink();
+
+/**
+ * The sink a simulator emits through for its @p sink argument: null
+ * falls back to activeTraceSink(), and `&noTraceSink()` (explicit or
+ * installed) resolves to null, i.e. tracing off.
+ */
+TraceSink *resolveTraceSink(TraceSink *sink);
+
+/** Event name of partition @p index in streaming order: "p<index>". */
+std::string partitionEventName(std::size_t index);
 
 } // namespace copernicus
 

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "pipeline/event_sim.hh"
 #include "trace/trace_sink.hh"
 
 namespace copernicus {
@@ -58,12 +57,6 @@ class TraceWriter : public TraceSink
     void durationEventArgs(std::string_view track,
                            std::string_view name, Cycles start,
                            Cycles end, std::string argsJson);
-
-    /**
-     * Serialise a finished event-sim run (one scope, tracks
-     * read/compute/write) without having had a live sink attached.
-     */
-    void recordEventSim(const EventSimResult &result);
 
     const std::vector<Event> &events() const { return recorded; }
     std::size_t eventCount() const { return recorded.size(); }

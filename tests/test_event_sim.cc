@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "common/rng.hh"
 #include "common/status.hh"
 #include "pipeline/event_sim.hh"
+#include "pipeline/parallel_pipeline.hh"
 #include "workloads/generators.hh"
 
 namespace copernicus {
@@ -19,6 +23,24 @@ sampleParts(double density = 0.08)
 {
     Rng rng(21);
     return partition(randomMatrix(128, density, rng), 16);
+}
+
+/**
+ * Platform configs that change the per-tile cost: the default, the
+ * vector operand streamed on a single streamline, and second-stage
+ * compression. Every simulator must charge a tile the same under each.
+ */
+std::vector<std::pair<const char *, HlsConfig>>
+costConfigs()
+{
+    HlsConfig vector_operand;
+    vector_operand.streamlines = 1;
+    vector_operand.streamVectorOperand = true;
+    HlsConfig compressed;
+    compressed.secondStageCompression = true;
+    return {{"default", HlsConfig()},
+            {"vector operand", vector_operand},
+            {"second stage", compressed}};
 }
 
 TEST(EventSimTest, EmptyMatrix)
@@ -92,10 +114,26 @@ TEST_P(EventSimBoundsTest, BracketsAnalyticModel)
 TEST_P(EventSimBoundsTest, BusyTotalsMatchAnalyticStageSums)
 {
     const auto parts = sampleParts();
-    const auto event = runEventSim(parts, GetParam());
-    const auto analytic = runPipeline(parts, GetParam());
-    EXPECT_EQ(event.readBusy, analytic.totalMemoryCycles);
-    EXPECT_EQ(event.computeBusy, analytic.totalComputeCycles);
+    for (const auto &[label, config] : costConfigs()) {
+        const auto event = runEventSim(parts, GetParam(), config);
+        const auto analytic = runPipeline(parts, GetParam(), config);
+        EXPECT_EQ(event.readBusy, analytic.totalMemoryCycles) << label;
+        EXPECT_EQ(event.computeBusy, analytic.totalComputeCycles)
+            << label;
+    }
+}
+
+TEST_P(EventSimBoundsTest, SinglePeParallelMatchesPipeline)
+{
+    // One PE is one pipeline: its fill + steady state + drain must be
+    // exactly what runPipeline reports.
+    const auto parts = sampleParts();
+    for (const auto &[label, config] : costConfigs()) {
+        const auto single = runParallel(parts, GetParam(), 1,
+                                        ScheduleKind::RoundRobin, config);
+        const auto analytic = runPipeline(parts, GetParam(), config);
+        EXPECT_EQ(single.peCycles[0], analytic.totalCycles) << label;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFormats, EventSimBoundsTest,

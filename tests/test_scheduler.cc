@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
 #include "common/rng.hh"
 #include "common/status.hh"
 #include "core/scheduler.hh"
@@ -19,6 +22,25 @@ sampleParts(double density = 0.05)
 {
     Rng rng(77);
     return partition(randomMatrix(128, density, rng), 16);
+}
+
+/**
+ * Platform configs that change the per-tile cost: the default, the
+ * vector operand streamed on a single streamline, and second-stage
+ * compression. The plan must be optimal under the cost the pipeline
+ * charges in each.
+ */
+std::vector<std::pair<const char *, HlsConfig>>
+costConfigs()
+{
+    HlsConfig vector_operand;
+    vector_operand.streamlines = 1;
+    vector_operand.streamVectorOperand = true;
+    HlsConfig compressed;
+    compressed.secondStageCompression = true;
+    return {{"default", HlsConfig()},
+            {"vector operand", vector_operand},
+            {"second stage", compressed}};
 }
 
 TEST(MixedPipelineTest, LengthMismatchIsFatal)
@@ -79,20 +101,25 @@ TEST(PlanFormatsTest, HistogramSumsToTileCount)
 
 TEST(PlanFormatsTest, BytesObjectivePicksSmallestEncoding)
 {
+    // "Smallest" is what the pipeline moves per tile under the config:
+    // the stored bytes once second-stage compression is on.
     const auto parts = sampleParts();
-    const auto plan = planFormats(parts, paperFormats(),
-                                  SchedulerObjective::Bytes);
-    for (std::size_t i = 0; i < parts.tiles.size(); ++i) {
-        const Bytes chosen = defaultCodec(plan.perTile[i])
-                                 .encode(parts.tiles[i])
-                                 ->totalBytes();
-        for (FormatKind kind : paperFormats()) {
-            const Bytes other =
-                defaultCodec(kind).encode(parts.tiles[i])->totalBytes();
-            EXPECT_LE(chosen, other)
-                << "tile " << i << " chose " << formatName(
-                       plan.perTile[i]) << " but " << formatName(kind)
-                << " is smaller";
+    for (const auto &[label, config] : costConfigs()) {
+        const auto plan = planFormats(parts, paperFormats(),
+                                      SchedulerObjective::Bytes, config);
+        std::map<FormatKind, PipelineResult> fixed;
+        for (FormatKind kind : paperFormats())
+            fixed.emplace(kind, runPipeline(parts, kind, config));
+        for (std::size_t i = 0; i < parts.tiles.size(); ++i) {
+            const Bytes chosen =
+                fixed.at(plan.perTile[i]).partitions[i].totalBytes;
+            for (FormatKind kind : paperFormats()) {
+                const Bytes other = fixed.at(kind).partitions[i].totalBytes;
+                EXPECT_LE(chosen, other)
+                    << label << ": tile " << i << " chose "
+                    << formatName(plan.perTile[i]) << " but "
+                    << formatName(kind) << " is smaller";
+            }
         }
     }
 }
@@ -102,13 +129,18 @@ TEST(AdaptiveTest, NeverWorseThanEveryFixedChoice)
     // The adaptive bottleneck plan must beat-or-match the best fixed
     // format on total steady cycles (it optimizes exactly that,
     // tile by tile).
-    for (double density : {0.02, 0.2}) {
-        const auto parts = sampleParts(density);
-        const auto adaptive = runAdaptive(parts, paperFormats());
-        for (FormatKind kind : paperFormats()) {
-            const auto fixed = runPipeline(parts, kind);
-            EXPECT_LE(adaptive.totalCycles, fixed.totalCycles)
-                << "density " << density << " vs " << formatName(kind);
+    for (const auto &[label, config] : costConfigs()) {
+        for (double density : {0.02, 0.2}) {
+            const auto parts = sampleParts(density);
+            const auto adaptive =
+                runAdaptive(parts, paperFormats(),
+                            SchedulerObjective::Bottleneck, config);
+            for (FormatKind kind : paperFormats()) {
+                const auto fixed = runPipeline(parts, kind, config);
+                EXPECT_LE(adaptive.totalCycles, fixed.totalCycles)
+                    << label << ", density " << density << " vs "
+                    << formatName(kind);
+            }
         }
     }
 }

@@ -102,19 +102,42 @@ TEST(TraceWriterTest, CounterTimestampsAreMonotonePerCounter)
     EXPECT_GT(counters, 0u);
 }
 
-TEST(TraceWriterTest, RecordEventSimMatchesLiveSink)
+TEST(TraceSinkTest, ResolveMapsNullAndSentinel)
+{
+    TraceWriter writer;
+    EXPECT_EQ(resolveTraceSink(nullptr), nullptr);
+    EXPECT_EQ(resolveTraceSink(&noTraceSink()), nullptr);
+    EXPECT_EQ(resolveTraceSink(&writer), &writer);
+    setActiveTraceSink(&writer);
+    EXPECT_EQ(resolveTraceSink(nullptr), &writer);
+    EXPECT_EQ(resolveTraceSink(&noTraceSink()), nullptr);
+    setActiveTraceSink(&noTraceSink());
+    EXPECT_EQ(resolveTraceSink(nullptr), nullptr);
+    setActiveTraceSink(nullptr);
+}
+
+TEST(TraceSinkTest, SimulatorsNamePartitionsByStreamingIndex)
 {
     const auto parts = sampleParts();
-    TraceWriter live;
-    const auto result = runEventSim(parts, FormatKind::CSR,
-                                    HlsConfig(), defaultRegistry(), 2,
-                                    &live);
+    TraceWriter writer;
+    runPipeline(parts, FormatKind::CSR, HlsConfig(), defaultRegistry(),
+                &writer);
+    runEventSim(parts, FormatKind::CSR, HlsConfig(), defaultRegistry(), 2,
+                &writer);
+    runParallel(parts, FormatKind::CSR, 1, ScheduleKind::RoundRobin,
+                HlsConfig(), defaultRegistry(), &writer);
 
-    TraceWriter post;
-    post.recordEventSim(result);
-    EXPECT_EQ(post.trackBusy("read"), live.trackBusy("read"));
-    EXPECT_EQ(post.trackBusy("compute"), live.trackBusy("compute"));
-    EXPECT_EQ(post.trackBusy("write"), live.trackBusy("write"));
+    // One scope per run; on its first track partition i is "p<i>".
+    std::map<int, std::size_t> seen;
+    for (const auto &ev : writer.events()) {
+        if (ev.phase != 'X' || (ev.track != "read" && ev.track != "pe0"))
+            continue;
+        const std::size_t index = seen[ev.pid]++;
+        EXPECT_EQ(ev.name, std::string("p") + std::to_string(index));
+    }
+    ASSERT_EQ(seen.size(), 3u);
+    for (const auto &[pid, count] : seen)
+        EXPECT_EQ(count, parts.tiles.size()) << "scope " << pid;
 }
 
 TEST(TraceWriterTest, SinkDoesNotPerturbSimulation)

@@ -60,19 +60,29 @@ planFormats(const Partitioning &parts,
     const std::size_t n = parts.tiles.size();
     plan.perTile.resize(n, candidates.front());
 
-    // Every tile's choice is independent and lands in its own indexed
-    // slot, so the fan-out is deterministic; nested calls (e.g. from a
-    // parallel Study) fall back to a serial loop inside the pool.
-    const auto choose = [&](std::size_t i) {
+    // Only first copies are scored; a duplicate tile takes its first
+    // copy's choice. Every choice is independent and lands in its own
+    // indexed slot, so the fan-out is deterministic; nested calls (e.g.
+    // from a parallel Study) fall back to a serial loop inside the pool.
+    const std::vector<std::size_t> first = firstCopies(parts);
+    std::vector<std::size_t> distinct;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (first[i] == i)
+            distinct.push_back(i);
+    }
+    const auto choose = [&](std::size_t k) {
+        const std::size_t i = distinct[k];
         plan.perTile[i] = chooseFormat(parts.tiles[i], candidates,
                                        objective, config, registry);
     };
-    if (effectiveJobs(jobs) > 1 && n > 1) {
-        ThreadPool::global().parallelFor(n, choose);
+    if (effectiveJobs(jobs) > 1 && distinct.size() > 1) {
+        ThreadPool::global().parallelFor(distinct.size(), choose);
     } else {
-        for (std::size_t i = 0; i < n; ++i)
-            choose(i);
+        for (std::size_t k = 0; k < distinct.size(); ++k)
+            choose(k);
     }
+    for (std::size_t i = 0; i < n; ++i)
+        plan.perTile[i] = plan.perTile[first[i]];
 
     for (FormatKind kind : plan.perTile)
         ++plan.histogram[kind];

@@ -46,9 +46,9 @@ struct FormatPlan
 /**
  * Choose the best format per tile.
  *
- * Tiles are scored independently (via the shared encode cache) and the
- * per-tile argmin is written to an indexed slot, so the plan is
- * bit-identical at any jobs setting.
+ * Each distinct tile (firstCopies()) is scored once with timeTile(),
+ * and duplicates take its choice. The per-tile argmin is written to
+ * an indexed slot, so the plan is bit-identical at any jobs setting.
  *
  * @param parts Partitioning of the operand matrix.
  * @param candidates Formats the hardware implements decoders for.

@@ -17,11 +17,6 @@ mixIndex(std::uint64_t hash, Index v)
     return fnv1a(&v, sizeof(v), hash);
 }
 
-// The key fingerprint hashes the raw triplet array in one pass; that
-// is only sound if TileNonzero has no padding bytes.
-static_assert(sizeof(TileNonzero) == 2 * sizeof(Index) + sizeof(Value),
-              "TileNonzero must be packed for raw-byte hashing");
-
 std::uint64_t
 keyHash(FormatKind kind, const FormatParams &params, const Tile &tile)
 {

@@ -3,22 +3,22 @@
  * EncodeCache: a sharded, content-addressed memo of
  * encode(tile, format, params).
  *
- * The sweep hot paths encode the same tiles over and over: Study::run
- * re-encodes every tile for each design point, planFormats encodes
- * every tile once per candidate format, and the adaptive pipeline then
- * encodes the winners again. Encoding is pure — the result depends
- * only on the tile contents, the format, and the codec
- * hyperparameters — so one shared memo collapses all of that to one
- * encode per distinct (tile, format, params) triple. Content
- * addressing also dedupes *identical* tiles, which band and stencil
- * matrices produce in bulk (the same band tile repeats down the whole
- * diagonal).
+ * The memo is not on the pricing path. timeTile() encodes with the
+ * registry's codec directly, and its callers (runPipeline, runEventSim,
+ * runParallel, planFormats) price each distinct tile once per call
+ * through firstCopies() (pipeline/stream_pipeline.hh). Measured on the
+ * catalog sweep, almost every memo hit was such a within-call
+ * duplicate, and the process-wide table cost more in hashing, locking,
+ * key copies and resident memory than it saved. The cache remains for
+ * callers that encode without pricing: the serve `validate_tile`
+ * handler, the encode benches, and perfbench's replay.cc and
+ * serve_mix.cc.
  *
  * Lookups hash the tile's canonical nonzero stream (FNV-1a over the
  * sorted (row, col, value) triplets — O(nnz), not O(p^2)) but hits are
  * verified by full stream comparison, so a hash collision can never
- * substitute a wrong encoding — parallel and serial sweeps stay
- * bit-identical with the cache on or off.
+ * substitute a wrong encoding — results are bit-identical with the
+ * cache on or off.
  *
  * Concurrency: the table is split into shards, each behind its own
  * mutex, so pool workers encoding different tiles rarely contend. Two
@@ -59,7 +59,7 @@ class EncodeCache
     EncodeCache(const EncodeCache &) = delete;
     EncodeCache &operator=(const EncodeCache &) = delete;
 
-    /** The shared cache used by the pipeline and the scheduler. */
+    /** The process-wide cache behind encodeCached(). */
     static EncodeCache &global();
 
     /**
@@ -140,9 +140,8 @@ class EncodeCache
 };
 
 /**
- * Shorthand used by the pipeline/scheduler hot paths: the global
- * cache's encode(), falling back to a fresh codec encode when the
- * cache is disabled.
+ * The global cache's encode(), falling back to a fresh codec encode
+ * when the cache is disabled.
  */
 std::shared_ptr<const EncodedTile>
 encodeCached(const FormatRegistry &registry, FormatKind kind,

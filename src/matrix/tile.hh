@@ -51,6 +51,11 @@ struct TileNonzero
     }
 };
 
+// Content fingerprints (the encode cache key, firstCopies()) hash the
+// raw triplet array in one pass; that is only sound without padding.
+static_assert(sizeof(TileNonzero) == 2 * sizeof(Index) + sizeof(Value),
+              "TileNonzero must be packed for raw-byte hashing");
+
 /**
  * Sparsity features of one tile, computed in one O(nnz + p) pass and
  * shared by every consumer (codecs, size model, schedule IR).

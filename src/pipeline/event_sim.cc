@@ -28,10 +28,9 @@ runEventSim(const Partitioning &parts, FormatKind kind,
     Cycles prev_compute_end = 0;
     Cycles prev_write_end = 0;
 
-    for (const Tile &tile : parts.tiles) {
-        const PartitionTiming timing =
-            timeTile(tile, kind, config, registry);
-
+    const std::vector<FormatKind> per_tile(parts.tiles.size(), kind);
+    for (const PartitionTiming &timing :
+         timeTiles(parts, per_tile, config, registry)) {
         TileSchedule slot;
         // Buffering: reading tile i reuses the slot tile
         // i - inputBuffers computed from.

@@ -2,7 +2,7 @@
  * @file
  * Event-driven simulation of the Figure-2 pipeline.
  *
- * Each partition's stage costs come from timeTile()
+ * Each partition's stage costs come from timeTiles()
  * (stream_pipeline.hh), the same per-tile cost runPipeline() charges;
  * instead of the steady-state max of the three, this simulator
  * schedules every stage of every partition explicitly under double

@@ -99,13 +99,12 @@ runParallel(const Partitioning &parts, FormatKind kind, Index peCount,
     result.schedule = schedule;
 
     const Bytes out_bytes = Bytes(parts.partitionSize) * valueBytes;
-    std::vector<PartitionTiming> timings;
-    timings.reserve(parts.tiles.size());
+    const std::vector<FormatKind> per_tile(parts.tiles.size(), kind);
+    const std::vector<PartitionTiming> timings =
+        timeTiles(parts, per_tile, config, registry);
     Bytes total_bytes = 0;
-    for (const Tile &tile : parts.tiles) {
-        timings.push_back(timeTile(tile, kind, config, registry));
-        total_bytes += timings.back().totalBytes + out_bytes;
-    }
+    for (const PartitionTiming &timing : timings)
+        total_bytes += timing.totalBytes + out_bytes;
 
     result.peCycles = peCyclesOf(timings, peCount, schedule, trace);
     result.computeBoundCycles = *std::max_element(

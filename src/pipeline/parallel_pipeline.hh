@@ -5,7 +5,7 @@
  * be aggregated for implementing coarse-grain parallelism",
  * Section 5.1).
  *
- * Non-zero partitions are priced once by timeTile()
+ * Non-zero partitions are priced by timeTiles()
  * (stream_pipeline.hh), the per-tile cost runPipeline() charges, and
  * distributed across processing elements (PEs). Every PE runs the
  * steady-state single-pipeline model independently; the slowest PE

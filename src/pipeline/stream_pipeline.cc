@@ -1,11 +1,13 @@
 #include "pipeline/stream_pipeline.hh"
 
 #include <algorithm>
+#include <limits>
 #include <map>
+#include <unordered_map>
 
+#include "common/fnv.hh"
 #include "common/status.hh"
 #include "compress/second_stage.hh"
-#include "formats/encode_cache.hh"
 #include "formats/validate.hh"
 #include "hls/axi.hh"
 #include "hls/decompressor.hh"
@@ -16,7 +18,7 @@ PartitionTiming
 timeTile(const Tile &tile, FormatKind kind, const HlsConfig &config,
          const FormatRegistry &registry)
 {
-    const auto encoded = encodeCached(registry, kind, tile);
+    const auto encoded = registry.codec(kind).encode(tile);
     if (grammarValidationEnabled()) {
         const GrammarReport report = validateEncodedTile(*encoded);
         panicIf(!report.ok(),
@@ -52,6 +54,62 @@ timeTile(const Tile &tile, FormatKind kind, const HlsConfig &config,
     return timing;
 }
 
+std::vector<std::size_t>
+firstCopies(const Partitioning &parts, std::span<const FormatKind> perTile)
+{
+    const std::vector<Tile> &tiles = parts.tiles;
+    fatalIf(!perTile.empty() && perTile.size() != tiles.size(),
+            "firstCopies: one format per non-zero tile required");
+    constexpr std::size_t none = std::numeric_limits<std::size_t>::max();
+
+    std::vector<std::size_t> first(tiles.size());
+    // Content hash -> the newest first copy with that hash; older first
+    // copies that share the hash are chained through `older`.
+    std::unordered_map<std::uint64_t, std::size_t> newest;
+    newest.reserve(tiles.size());
+    std::vector<std::size_t> older(tiles.size(), none);
+    for (std::size_t i = 0; i < tiles.size(); ++i) {
+        const std::vector<TileNonzero> &nz = tiles[i].nonzeros();
+        const std::uint64_t hash =
+            fnv1a(nz.data(), nz.size() * sizeof(TileNonzero));
+        first[i] = i;
+        const auto [it, fresh] = newest.try_emplace(hash, i);
+        if (fresh)
+            continue;
+        for (std::size_t j = it->second; j != none; j = older[j]) {
+            if ((perTile.empty() || perTile[j] == perTile[i]) &&
+                tiles[j].size() == tiles[i].size() &&
+                tiles[j].nonzeros() == nz) {
+                first[i] = j;
+                break;
+            }
+        }
+        if (first[i] == i) {
+            older[i] = it->second;
+            it->second = i;
+        }
+    }
+    return first;
+}
+
+std::vector<PartitionTiming>
+timeTiles(const Partitioning &parts, std::span<const FormatKind> perTile,
+          const HlsConfig &config, const FormatRegistry &registry)
+{
+    fatalIf(perTile.size() != parts.tiles.size(),
+            "timeTiles: one format per non-zero tile required");
+    const std::vector<std::size_t> first = firstCopies(parts, perTile);
+    std::vector<PartitionTiming> timings;
+    timings.reserve(first.size());
+    for (std::size_t i = 0; i < first.size(); ++i) {
+        timings.push_back(first[i] == i
+                              ? timeTile(parts.tiles[i], perTile[i],
+                                         config, registry)
+                              : timings[first[i]]);
+    }
+    return timings;
+}
+
 namespace {
 
 /**
@@ -71,6 +129,7 @@ runImpl(const Partitioning &parts,
     }
     PipelineResult result;
     result.partitionSize = parts.partitionSize;
+    result.partitions = timeTiles(parts, perTile, config, registry);
 
     double balance_sum = 0;
     double sigma_sum = 0;
@@ -79,10 +138,8 @@ runImpl(const Partitioning &parts,
     // Steady-state clock for the emitted timeline: the first read is
     // exposed, then each partition's slot advances by its bottleneck.
     Cycles trace_clock = 0;
-    for (std::size_t i = 0; i < parts.tiles.size(); ++i) {
-        const PartitionTiming timing =
-            timeTile(parts.tiles[i], perTile[i], config, registry);
-
+    for (std::size_t i = 0; i < result.partitions.size(); ++i) {
+        const PartitionTiming &timing = result.partitions[i];
         result.totalMemoryCycles += timing.memoryCycles;
         result.totalComputeCycles += timing.computeCycles;
         result.totalBytes += timing.totalBytes;
@@ -94,15 +151,14 @@ runImpl(const Partitioning &parts,
                                  static_cast<double>(timing.computeCycles);
         sigma_sum += timing.sigma;
 
-        if (result.partitions.empty())
+        if (i == 0)
             fill_first = timing.memoryCycles;
         drain_last = timing.writeCycles;
 
         if (trace != nullptr) {
-            if (result.partitions.empty())
+            if (i == 0)
                 trace_clock = fill_first;
-            const std::string name =
-                partitionEventName(result.partitions.size());
+            const std::string name = partitionEventName(i);
             trace->durationEvent(
                 "read", name, trace_clock,
                 trace_clock + timing.memoryCycles);
@@ -123,8 +179,6 @@ runImpl(const Partitioning &parts,
                           static_cast<double>(timing.totalBytes));
             trace_clock = slot_end;
         }
-
-        result.partitions.push_back(timing);
     }
 
     if (!result.partitions.empty()) {

@@ -15,6 +15,8 @@
 #ifndef COPERNICUS_PIPELINE_STREAM_PIPELINE_HH
 #define COPERNICUS_PIPELINE_STREAM_PIPELINE_HH
 
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "formats/registry.hh"
@@ -111,9 +113,10 @@ struct PipelineResult
  * runParallel() schedule its stages, and planFormats() scores
  * candidates with it, so every HlsConfig knob reaches all of them.
  *
- * In order: encode through the shared encode cache, check the tile
- * grammar when enabled, walk the decompressor (panicking if it does not
- * reproduce @p tile), apply second-stage compression when
+ * In order: encode with the registry's codec (no memo: the callers
+ * price each distinct tile once per call, see timeTiles()), check the
+ * tile grammar when enabled, walk the decompressor (panicking if it
+ * does not reproduce @p tile), apply second-stage compression when
  * `config.secondStageCompression` is set, add the p-value vector
  * operand as one more read stream when `config.streamVectorOperand` is
  * set, then charge transfer, compute and write-back cycles.
@@ -127,6 +130,36 @@ struct PipelineResult
 PartitionTiming timeTile(const Tile &tile, FormatKind kind,
                          const HlsConfig &config,
                          const FormatRegistry &registry);
+
+/**
+ * For each tile of @p parts, the index of the first tile with the same
+ * canonical nonzero stream and, when @p perTile is given (one format
+ * per tile), the same format. A first copy maps to itself.
+ *
+ * Band and stencil matrices repeat one tile down the diagonal, and a
+ * tile's cost depends only on its contents and format, so a caller can
+ * price each first copy once and copy the result to its duplicates.
+ * Tiles are keyed by FNV-1a over nonzeros(), and every match is
+ * confirmed by a full nonzeros() comparison, so a hash collision never
+ * merges two different tiles.
+ *
+ * @return first[i] <= i for every tile i.
+ */
+std::vector<std::size_t>
+firstCopies(const Partitioning &parts,
+            std::span<const FormatKind> perTile = {});
+
+/**
+ * timeTile() for every tile of @p parts, tile i in format
+ * @p perTile[i], in streaming order. Each distinct (contents, format)
+ * pair is priced once per call (firstCopies()) — grammar check,
+ * decoder round trip and second-stage compression included — and its
+ * duplicates get a copy of its timing.
+ */
+std::vector<PartitionTiming> timeTiles(const Partitioning &parts,
+                                       std::span<const FormatKind> perTile,
+                                       const HlsConfig &config,
+                                       const FormatRegistry &registry);
 
 /**
  * Stream every non-zero partition of @p parts through the platform with

@@ -11,6 +11,7 @@
 
 #include "common/rng.hh"
 #include "common/status.hh"
+#include "cost_configs.hh"
 #include "pipeline/event_sim.hh"
 #include "pipeline/parallel_pipeline.hh"
 #include "workloads/generators.hh"
@@ -23,24 +24,6 @@ sampleParts(double density = 0.08)
 {
     Rng rng(21);
     return partition(randomMatrix(128, density, rng), 16);
-}
-
-/**
- * Platform configs that change the per-tile cost: the default, the
- * vector operand streamed on a single streamline, and second-stage
- * compression. Every simulator must charge a tile the same under each.
- */
-std::vector<std::pair<const char *, HlsConfig>>
-costConfigs()
-{
-    HlsConfig vector_operand;
-    vector_operand.streamlines = 1;
-    vector_operand.streamVectorOperand = true;
-    HlsConfig compressed;
-    compressed.secondStageCompression = true;
-    return {{"default", HlsConfig()},
-            {"vector operand", vector_operand},
-            {"second stage", compressed}};
 }
 
 TEST(EventSimTest, EmptyMatrix)
@@ -126,13 +109,19 @@ TEST_P(EventSimBoundsTest, BusyTotalsMatchAnalyticStageSums)
 TEST_P(EventSimBoundsTest, SinglePeParallelMatchesPipeline)
 {
     // One PE is one pipeline: its fill + steady state + drain must be
-    // exactly what runPipeline reports.
-    const auto parts = sampleParts();
-    for (const auto &[label, config] : costConfigs()) {
-        const auto single = runParallel(parts, GetParam(), 1,
-                                        ScheduleKind::RoundRobin, config);
-        const auto analytic = runPipeline(parts, GetParam(), config);
-        EXPECT_EQ(single.peCycles[0], analytic.totalCycles) << label;
+    // exactly what runPipeline reports, also when tiles repeat.
+    const std::vector<std::pair<const char *, Partitioning>> inputs = {
+        {"random", sampleParts()},
+        {"stencil (repeated tiles)", partition(stencil2d(16, 16), 16)}};
+    for (const auto &[input, parts] : inputs) {
+        for (const auto &[label, config] : costConfigs()) {
+            const auto single =
+                runParallel(parts, GetParam(), 1,
+                            ScheduleKind::RoundRobin, config);
+            const auto analytic = runPipeline(parts, GetParam(), config);
+            EXPECT_EQ(single.peCycles[0], analytic.totalCycles)
+                << input << ", " << label;
+        }
     }
 }
 

@@ -106,7 +106,8 @@ TEST(SpanCollectorTest, RingWrapDropsOldestAndCounts)
         SpanRecord span;
         span.traceId = 7;
         span.spanId = i;
-        span.name = "s" + std::to_string(i);
+        span.name = "s";
+        span.name += std::to_string(i);
         collector.record(std::move(span));
     }
     EXPECT_EQ(collector.recorded(), 5u);

@@ -7,11 +7,33 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "cost_configs.hh"
 #include "pipeline/stream_pipeline.hh"
 #include "workloads/generators.hh"
 
 namespace copernicus {
 namespace {
+
+/** Every PartitionTiming field, compared exactly. */
+void
+expectSameTiming(const PartitionTiming &a, const PartitionTiming &b)
+{
+    EXPECT_EQ(a.memoryCycles, b.memoryCycles);
+    EXPECT_EQ(a.computeCycles, b.computeCycles);
+    EXPECT_EQ(a.writeCycles, b.writeCycles);
+    EXPECT_EQ(a.decompressCycles, b.decompressCycles);
+    EXPECT_EQ(a.rowsProduced, b.rowsProduced);
+    EXPECT_EQ(a.sigma, b.sigma);
+    EXPECT_EQ(a.totalBytes, b.totalBytes);
+    EXPECT_EQ(a.usefulBytes, b.usefulBytes);
+}
+
+/** A 2D stencil: its diagonal and off-diagonal tiles repeat. */
+Partitioning
+repeatedTileParts()
+{
+    return partition(stencil2d(16, 16), 16);
+}
 
 TEST(PipelineTest, EmptyMatrixProducesZeroResult)
 {
@@ -231,6 +253,119 @@ TEST(PipelineTest, EveryPartitionTimingIsConsistent)
         EXPECT_GE(t.bottleneckCycles(), t.memoryCycles);
         EXPECT_GE(t.bottleneckCycles(), t.computeCycles);
     }
+}
+
+TEST(PipelineTest, FirstCopiesMapsEachTileToItsFirstDuplicate)
+{
+    const auto parts = repeatedTileParts();
+    const auto first = firstCopies(parts);
+    ASSERT_EQ(first.size(), parts.tiles.size());
+    std::size_t duplicates = 0;
+    for (std::size_t i = 0; i < first.size(); ++i) {
+        ASSERT_LE(first[i], i);
+        EXPECT_EQ(parts.tiles[first[i]].nonzeros(),
+                  parts.tiles[i].nonzeros());
+        // A first copy has no earlier tile with its contents.
+        for (std::size_t j = 0; j < first[i]; ++j)
+            EXPECT_NE(parts.tiles[j].nonzeros(), parts.tiles[i].nonzeros());
+        duplicates += first[i] != i;
+    }
+    EXPECT_GT(duplicates, parts.tiles.size() / 2);
+}
+
+TEST(PipelineTest, RepeatedTilesArePricedLikeTimeTile)
+{
+    const auto parts = repeatedTileParts();
+    for (const auto &[label, config] : costConfigs()) {
+        for (FormatKind kind : paperFormats()) {
+            SCOPED_TRACE(std::string(label) + ", " +
+                         std::string(formatName(kind)));
+            const auto result = runPipeline(parts, kind, config);
+            ASSERT_EQ(result.partitions.size(), parts.tiles.size());
+            for (std::size_t i = 0; i < parts.tiles.size(); ++i) {
+                expectSameTiming(
+                    result.partitions[i],
+                    timeTile(parts.tiles[i], kind, config,
+                             defaultRegistry()));
+            }
+        }
+    }
+}
+
+TEST(PipelineTest, MixedPricesIdenticalTilesInTheirOwnFormats)
+{
+    const auto parts = repeatedTileParts();
+    const auto first = firstCopies(parts);
+    // Tile 0 and the first two later copies of it.
+    std::vector<std::size_t> copies;
+    for (std::size_t i = 1; i < first.size() && copies.size() < 2; ++i) {
+        if (first[i] == 0)
+            copies.push_back(i);
+    }
+    ASSERT_EQ(copies.size(), 2u);
+
+    std::vector<FormatKind> per_tile(parts.tiles.size(), FormatKind::CSR);
+    per_tile[copies[0]] = FormatKind::COO;
+    per_tile[copies[1]] = FormatKind::COO;
+    // The second COO copy reuses the first COO copy, not tile 0.
+    const auto first_mixed = firstCopies(parts, per_tile);
+    EXPECT_EQ(first_mixed[copies[0]], copies[0]);
+    EXPECT_EQ(first_mixed[copies[1]], copies[0]);
+
+    for (const auto &[label, config] : costConfigs()) {
+        SCOPED_TRACE(label);
+        const auto csr =
+            timeTile(parts.tiles[0], FormatKind::CSR, config,
+                     defaultRegistry());
+        const auto coo =
+            timeTile(parts.tiles[0], FormatKind::COO, config,
+                     defaultRegistry());
+        ASSERT_NE(csr.totalBytes, coo.totalBytes);
+        const auto result =
+            runPipelineMixed(parts, per_tile, config);
+        expectSameTiming(result.partitions[0], csr);
+        expectSameTiming(result.partitions[copies[0]], coo);
+        expectSameTiming(result.partitions[copies[1]], coo);
+    }
+}
+
+TEST(PipelineTest, SamePatternDifferentValuesArePricedSeparately)
+{
+    // Two tiles with one diagonal pattern: constant values, which the
+    // second stage compresses, and distinct values, which it cannot.
+    constexpr Index p = 16;
+    std::vector<TileNonzero> constant;
+    std::vector<TileNonzero> distinct;
+    for (Index r = 0; r < p; ++r) {
+        constant.push_back({r, r, Value(1)});
+        distinct.push_back({r, r, Value(1) + Value(r) / Value(7)});
+    }
+    Partitioning parts;
+    parts.partitionSize = p;
+    parts.gridRows = 2;
+    parts.gridCols = 2;
+    parts.tiles.emplace_back(p, 0, 0, constant);
+    parts.tiles.emplace_back(p, 1, 1, distinct);
+    EXPECT_EQ(firstCopies(parts), (std::vector<std::size_t>{0, 1}));
+
+    bool values_priced = false;
+    for (const auto &[label, config] : costConfigs()) {
+        for (FormatKind kind : paperFormats()) {
+            SCOPED_TRACE(std::string(label) + ", " +
+                         std::string(formatName(kind)));
+            const auto result = runPipeline(parts, kind, config);
+            for (std::size_t i = 0; i < parts.tiles.size(); ++i) {
+                expectSameTiming(
+                    result.partitions[i],
+                    timeTile(parts.tiles[i], kind, config,
+                             defaultRegistry()));
+            }
+            values_priced |= result.partitions[0].totalBytes !=
+                             result.partitions[1].totalBytes;
+        }
+    }
+    // Otherwise merging the two would go unnoticed.
+    EXPECT_TRUE(values_priced);
 }
 
 } // namespace

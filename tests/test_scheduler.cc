@@ -11,6 +11,7 @@
 
 #include "common/rng.hh"
 #include "common/status.hh"
+#include "cost_configs.hh"
 #include "core/scheduler.hh"
 #include "workloads/generators.hh"
 
@@ -22,25 +23,6 @@ sampleParts(double density = 0.05)
 {
     Rng rng(77);
     return partition(randomMatrix(128, density, rng), 16);
-}
-
-/**
- * Platform configs that change the per-tile cost: the default, the
- * vector operand streamed on a single streamline, and second-stage
- * compression. The plan must be optimal under the cost the pipeline
- * charges in each.
- */
-std::vector<std::pair<const char *, HlsConfig>>
-costConfigs()
-{
-    HlsConfig vector_operand;
-    vector_operand.streamlines = 1;
-    vector_operand.streamVectorOperand = true;
-    HlsConfig compressed;
-    compressed.secondStageCompression = true;
-    return {{"default", HlsConfig()},
-            {"vector operand", vector_operand},
-            {"second stage", compressed}};
 }
 
 TEST(MixedPipelineTest, LengthMismatchIsFatal)
@@ -102,23 +84,29 @@ TEST(PlanFormatsTest, HistogramSumsToTileCount)
 TEST(PlanFormatsTest, BytesObjectivePicksSmallestEncoding)
 {
     // "Smallest" is what the pipeline moves per tile under the config:
-    // the stored bytes once second-stage compression is on.
-    const auto parts = sampleParts();
-    for (const auto &[label, config] : costConfigs()) {
-        const auto plan = planFormats(parts, paperFormats(),
-                                      SchedulerObjective::Bytes, config);
-        std::map<FormatKind, PipelineResult> fixed;
-        for (FormatKind kind : paperFormats())
-            fixed.emplace(kind, runPipeline(parts, kind, config));
-        for (std::size_t i = 0; i < parts.tiles.size(); ++i) {
-            const Bytes chosen =
-                fixed.at(plan.perTile[i]).partitions[i].totalBytes;
-            for (FormatKind kind : paperFormats()) {
-                const Bytes other = fixed.at(kind).partitions[i].totalBytes;
-                EXPECT_LE(chosen, other)
-                    << label << ": tile " << i << " chose "
-                    << formatName(plan.perTile[i]) << " but "
-                    << formatName(kind) << " is smaller";
+    // the stored bytes once second-stage compression is on. The
+    // stencil's repeated tiles must each get their own best choice.
+    const std::vector<std::pair<const char *, Partitioning>> inputs = {
+        {"random", sampleParts()},
+        {"stencil (repeated tiles)", partition(stencil2d(16, 16), 16)}};
+    for (const auto &[input, parts] : inputs) {
+        for (const auto &[label, config] : costConfigs()) {
+            const auto plan = planFormats(parts, paperFormats(),
+                                          SchedulerObjective::Bytes, config);
+            std::map<FormatKind, PipelineResult> fixed;
+            for (FormatKind kind : paperFormats())
+                fixed.emplace(kind, runPipeline(parts, kind, config));
+            for (std::size_t i = 0; i < parts.tiles.size(); ++i) {
+                const Bytes chosen =
+                    fixed.at(plan.perTile[i]).partitions[i].totalBytes;
+                for (FormatKind kind : paperFormats()) {
+                    const Bytes other =
+                        fixed.at(kind).partitions[i].totalBytes;
+                    EXPECT_LE(chosen, other)
+                        << input << ", " << label << ": tile " << i
+                        << " chose " << formatName(plan.perTile[i])
+                        << " but " << formatName(kind) << " is smaller";
+                }
             }
         }
     }

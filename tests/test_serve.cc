@@ -386,15 +386,16 @@ TEST_F(ServeTest, StatsReportsLivePoolAndCacheCounters)
 {
     // One handler lane: a pool task counts itself after its body (and
     // so after its response) returns, so only a stats handler on the
-    // same lane is ordered after the plan task's count.
+    // same lane is ordered after the validate task's count.
     startServer(/*queueCapacity=*/8, /*workers=*/1);
     ServeClient c = client();
-    // A fresh matrix: planning it must run the codecs on pool lanes.
-    const JsonValue plan = c.call(
-        "plan_formats",
+    // A fresh matrix: validating it encodes its tiles through the
+    // encode cache on a pool lane.
+    const JsonValue validate = c.call(
+        "validate_tile",
         "{\"matrix\": {\"kind\": \"band\", \"n\": 96, \"width\": 6, "
         "\"seed\": 41}, \"partition_size\": 32}");
-    ASSERT_TRUE(plan.boolOr("ok", false));
+    ASSERT_TRUE(validate.boolOr("ok", false));
 
     const JsonValue response = c.call("stats");
     ASSERT_TRUE(response.boolOr("ok", false));

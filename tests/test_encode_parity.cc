@@ -11,9 +11,14 @@
  * surrogates, every format, p in {8, 16, 32} and jobs in {1, 4}, with
  * the encode cache both on and off.
  *
+ * A second golden, study_parity_compressed.csv, runs the same study
+ * with second-stage compression on, pinning the stored bytes,
+ * bandwidth utilization and memory cycles of every format under the
+ * default CompressionPolicy.
+ *
  * Regenerate the goldens (only ever from a known-good tree) with
  *   COPERNICUS_REGEN_GOLDEN=1 ./test_encode_parity
- * which rewrites tests/golden/study_parity.csv in the source tree.
+ * which rewrites both CSVs under tests/golden/ in the source tree.
  */
 
 #include <gtest/gtest.h>
@@ -36,18 +41,21 @@ using namespace copernicus;
 constexpr Index parityDim = 256;
 
 std::string
-goldenPath()
+goldenPath(bool compressed = false)
 {
-    return std::string(COPERNICUS_GOLDEN_DIR) + "/study_parity.csv";
+    return std::string(COPERNICUS_GOLDEN_DIR) +
+           (compressed ? "/study_parity_compressed.csv"
+                       : "/study_parity.csv");
 }
 
 Study
-makeParityStudy(unsigned jobs)
+makeParityStudy(unsigned jobs, bool compressed)
 {
     StudyConfig cfg;
     cfg.partitionSizes = {8, 16, 32};
     cfg.formats = allFormats();
     cfg.jobs = jobs;
+    cfg.hls.secondStageCompression = compressed;
     Study study(std::move(cfg));
 
     const std::vector<double> densities = {0.0001, 0.001, 0.01, 0.1,
@@ -78,18 +86,19 @@ makeParityStudy(unsigned jobs)
 }
 
 std::string
-runParityCsv(unsigned jobs)
+runParityCsv(unsigned jobs, bool compressed = false)
 {
     std::ostringstream out;
-    makeParityStudy(jobs).run().writeCsv(out);
+    makeParityStudy(jobs, compressed).run().writeCsv(out);
     return out.str();
 }
 
 std::string
-loadGolden()
+loadGolden(bool compressed = false)
 {
-    std::ifstream in(goldenPath());
-    EXPECT_TRUE(in.good()) << "missing golden file " << goldenPath();
+    const std::string path = goldenPath(compressed);
+    std::ifstream in(path);
+    EXPECT_TRUE(in.good()) << "missing golden file " << path;
     std::ostringstream buf;
     buf << in.rdbuf();
     return buf.str();
@@ -148,6 +157,20 @@ TEST(EncodeParity, StudyCsvMatchesSeedGoldenCacheDisabled)
     const std::string csv = runParityCsv(1);
     EncodeCache::global().setEnabled(true);
     expectCsvEqual(csv, loadGolden());
+}
+
+TEST(EncodeParity, CompressedStudyCsvMatchesGolden)
+{
+    const std::string serial = runParityCsv(1, true);
+    if (regenRequested()) {
+        std::ofstream out(goldenPath(true));
+        ASSERT_TRUE(out.good()) << "cannot write " << goldenPath(true);
+        out << serial;
+        GTEST_SKIP() << "regenerated " << goldenPath(true);
+    }
+    const std::string golden = loadGolden(true);
+    expectCsvEqual(serial, golden);
+    expectCsvEqual(runParityCsv(4, true), golden);
 }
 
 } // namespace

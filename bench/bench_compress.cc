@@ -10,7 +10,13 @@
  * canonical format with all three stream classes (values, column
  * indices, row offsets). Every compressed image is decompressed and
  * byte-compared on the spot, so a run that completes is also a
- * roundtrip proof over the whole catalog. The emitted
+ * roundtrip proof over the whole catalog.
+ *
+ * Beside raw codec speed, each workload also times the selection path
+ * the model runs — compressTile() under the default policy over the
+ * same tiles — and counts the streams that chose each family. The
+ * counts are deterministic and must sum to the stream count; the
+ * bench fails if they do not. The emitted
  * BENCH_compress.json is schema-checked before the bench exits and
  * uploaded by the CI perf-smoke job.
  *
@@ -66,12 +72,22 @@ struct ClassAccum
     FamilyAccum lzf;
 };
 
+/** compressTile() over the workload's tiles, default policy. */
+struct SelectionAccum
+{
+    double rawBytes = 0;
+    double ns = 0;
+    std::size_t streams = 0;
+    std::array<std::size_t, 3> chosen{}; ///< indexed by CompressionFamily
+};
+
 struct WorkloadResult
 {
     std::string name;
     std::size_t tiles = 0;
     std::size_t nnz = 0;
     std::array<ClassAccum, 3> classes; ///< indexed by StreamClass
+    SelectionAccum selection;
 };
 
 /** bytes over ns -> MB/s; 0 when nothing was timed. */
@@ -134,7 +150,20 @@ characterize(const std::string &name, const TripletMatrix &matrix,
                             name + "' stream " + stream.name);
             }
         }
+
+        SelectionAccum &sel = r.selection;
+        const auto t0 = Clock::now();
+        const TileCompression comp = compressTile(*encoded);
+        sel.ns += nsSince(t0);
+        sel.rawBytes += static_cast<double>(comp.rawBytes());
+        for (const CompressedStream &s : comp.streams)
+            ++sel.chosen[static_cast<std::size_t>(s.family)];
+        sel.streams += encoded->typedStreams().size();
     }
+    const SelectionAccum &sel = r.selection;
+    fatalIf(sel.chosen[0] + sel.chosen[1] + sel.chosen[2] != sel.streams,
+            "bench_compress: selection counts on '" + name +
+                "' do not sum to the stream count");
     return r;
 }
 
@@ -235,8 +264,15 @@ renderJson(const std::vector<WorkloadResult> &results,
             writeFamilyJson(out, "lz4", cls.lz4, cls.rawBytes);
             out << ", ";
             writeFamilyJson(out, "lzf", cls.lzf, cls.rawBytes);
-            out << '}' << (c + 1 < 3 ? "," : "") << '\n';
+            out << "},\n";
         }
+        const SelectionAccum &sel = r.selection;
+        out << "     \"selection\": {\"streams\": " << sel.streams
+            << ", \"tile_mb_s\": ";
+        writeJsonNumber(out, mbPerSec(sel.rawBytes, sel.ns));
+        out << ", \"chosen\": {\"store\": " << sel.chosen[0]
+            << ", \"lz4\": " << sel.chosen[1]
+            << ", \"lzf\": " << sel.chosen[2] << "}}\n";
         out << "    }" << (i + 1 < results.size() ? "," : "") << "\n";
     }
     out << "  ],\n  \"fig10\": {\n    \"p\": " << p
@@ -280,8 +316,9 @@ checkSchema(const std::string &text)
     for (const char *key :
          {"\"bench\"", "\"smoke\"", "\"families\"", "\"classes\"",
           "\"workloads\"", "\"ratio\"", "\"compress_mb_s\"",
-          "\"decompress_mb_s\"", "\"raw_bytes\"", "\"fig10\"",
-          "\"densities\"", "\"bw_util\""}) {
+          "\"decompress_mb_s\"", "\"raw_bytes\"", "\"selection\"",
+          "\"streams\"", "\"tile_mb_s\"", "\"chosen\"", "\"store\"",
+          "\"fig10\"", "\"densities\"", "\"bw_util\""}) {
         fatalIf(text.find(key) == std::string::npos,
                 std::string("BENCH_compress.json schema check: "
                             "missing key ") +
@@ -317,15 +354,19 @@ main(int argc, char **argv)
     for (const auto &[name, matrix] : catalog) {
         WorkloadResult r = characterize(name, matrix, p);
         const ClassAccum &idx = r.classes[1];
+        const SelectionAccum &sel = r.selection;
         std::printf("%-14s tiles=%-6zu raw=%9.0f B  "
-                    "index lz4=%.3f lzf=%.3f  value lz4=%.3f\n",
+                    "index lz4=%.3f lzf=%.3f  value lz4=%.3f  "
+                    "select %.0f MB/s store/lz4/lzf=%zu/%zu/%zu\n",
                     r.name.c_str(), r.tiles,
                     r.classes[0].rawBytes + idx.rawBytes +
                         r.classes[2].rawBytes,
                     ratioOf(idx.lz4.compressedBytes, idx.rawBytes),
                     ratioOf(idx.lzf.compressedBytes, idx.rawBytes),
                     ratioOf(r.classes[0].lz4.compressedBytes,
-                            r.classes[0].rawBytes));
+                            r.classes[0].rawBytes),
+                    mbPerSec(sel.rawBytes, sel.ns), sel.chosen[0],
+                    sel.chosen[1], sel.chosen[2]);
         results.push_back(std::move(r));
     }
 

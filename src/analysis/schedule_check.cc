@@ -286,8 +286,7 @@ checkTile(const FormatRegistry &registry, FormatKind kind,
         Bytes legacyTotal = 0;
         for (const Bytes b : encoded->streams())
             legacyTotal += b;
-        const Bytes typedTotal =
-            typedStreamBytes(encoded->typedStreams());
+        const Bytes typedTotal = encoded->typedStreams().totalBytes();
         if (typedTotal != legacyTotal)
             report.error("COP050", "streams", name,
                          "typed streams serialize " +

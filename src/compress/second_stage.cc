@@ -1,6 +1,8 @@
 #include "compress/second_stage.hh"
 
 #include <cstring>
+#include <span>
+#include <utility>
 
 #include "common/arena.hh"
 #include "trace/span.hh"
@@ -9,21 +11,26 @@ namespace copernicus {
 
 namespace {
 
+/** One compressed candidate image awaiting selection. */
+struct Candidate
+{
+    const StreamCompressor *compressor = nullptr;
+    const std::vector<std::byte> *image = nullptr;
+};
+
 /**
- * Compress @p raw with @p compressor and verify the roundtrip into
- * arena scratch. Returns false (candidate discarded) if the image is
- * malformed or fails the byte comparison.
+ * Decompress @p image into arena scratch and byte-compare it against
+ * @p raw. False if the image is malformed or does not reproduce the
+ * stream.
  */
 bool
-tryCandidate(const StreamCompressor &compressor,
-             std::span<const std::byte> raw, std::vector<std::byte> &out)
+roundtrips(const StreamCompressor &compressor,
+           std::span<const std::byte> image, std::span<const std::byte> raw)
 {
-    out.clear();
-    compressor.compress(raw, out);
     Arena &arena = encodeArena();
     const ArenaScope scope(arena);
     std::byte *check = arena.alloc<std::byte>(raw.size());
-    if (!compressor.decompress(out, {check, raw.size()}))
+    if (!compressor.decompress(image, {check, raw.size()}))
         return false;
     return raw.empty() ||
            std::memcmp(check, raw.data(), raw.size()) == 0;
@@ -81,12 +88,13 @@ compressTile(const EncodedTile &tile, const CompressionPolicy &policy,
         SpanCollector::global().slot("compress.tile");
     const ScopedSpan span(timing);
 
-    const std::vector<TypedStream> typed = tile.typedStreams();
+    const TypedStreams typed = tile.typedStreams();
     TileCompression result;
     result.streams.reserve(typed.size());
 
-    std::vector<std::byte> candidate;
-    std::vector<std::byte> best;
+    // Candidate images, reused across streams and tiles.
+    thread_local std::vector<std::byte> lz4Image;
+    thread_local std::vector<std::byte> lzfImage;
     for (const TypedStream &stream : typed) {
         CompressedStream out;
         out.cls = stream.cls;
@@ -96,33 +104,48 @@ compressTile(const EncodedTile &tile, const CompressionPolicy &policy,
         out.payloadBytes = out.rawBytes;
 
         const SecondStageChoice choice = policy.forClass(stream.cls);
-        const bool tryLz4 = choice == SecondStageChoice::Auto ||
-                            choice == SecondStageChoice::Lz4;
-        const bool tryLzf = choice == SecondStageChoice::Auto ||
-                            choice == SecondStageChoice::Lzf;
-
-        best.clear();
-        // A candidate wins only if it beats the current stored size —
-        // which starts at the STORE cost, so compression that loses
-        // (after the container header) is rejected by construction.
-        for (const StreamCompressor *compressor :
-             {tryLz4 ? &lz4Compressor() : nullptr,
-              tryLzf ? &lzfCompressor() : nullptr}) {
-            if (compressor == nullptr)
-                continue;
-            if (!tryCandidate(*compressor, stream.bytes, candidate))
-                continue;
-            if (Bytes(candidate.size()) + streamHeaderBytes <
-                out.storedBytes()) {
-                out.family = compressor->family();
-                out.payloadBytes = Bytes(candidate.size());
-                best.swap(candidate);
+        const std::size_t n = stream.bytes.size();
+        Candidate candidates[2];
+        std::size_t count = 0;
+        if ((choice == SecondStageChoice::Auto ||
+             choice == SecondStageChoice::Lz4) &&
+            n >= lz4MinWinningBytes) {
+            lz4Image.clear();
+            lz4Compressor().compress(stream.bytes, lz4Image);
+            candidates[count++] = {&lz4Compressor(), &lz4Image};
+        }
+        if ((choice == SecondStageChoice::Auto ||
+             choice == SecondStageChoice::Lzf) &&
+            n >= lzfMinWinningBytes) {
+            lzfImage.clear();
+            lzfCompressor().compress(stream.bytes, lzfImage);
+            candidates[count++] = {&lzfCompressor(), &lzfImage};
+        }
+        // Smallest image first, LZ4 first on a tie. The first that
+        // beats STORE and roundtrips is stored; once one loses to
+        // STORE, so does every later (larger) one.
+        if (count == 2 &&
+            candidates[1].image->size() < candidates[0].image->size())
+            std::swap(candidates[0], candidates[1]);
+        const Candidate *winner = nullptr;
+        for (const Candidate &c : std::span(candidates, count)) {
+            if (Bytes(c.image->size()) + streamHeaderBytes >= out.rawBytes)
+                break;
+            if (roundtrips(*c.compressor, *c.image, stream.bytes)) {
+                winner = &c;
+                break;
             }
         }
-        if (keepPayloads)
-            out.payload = out.family == CompressionFamily::Store
-                              ? stream.bytes
-                              : best;
+        if (winner != nullptr) {
+            out.family = winner->compressor->family();
+            out.payloadBytes = Bytes(winner->image->size());
+        }
+        if (keepPayloads) {
+            const std::span<const std::byte> kept =
+                winner != nullptr ? std::span<const std::byte>(*winner->image)
+                                  : stream.bytes;
+            out.payload.assign(kept.begin(), kept.end());
+        }
         result.streams.push_back(std::move(out));
     }
     return result;

@@ -10,8 +10,10 @@
  * catalog-derived and adversarial streams.
  *
  * The interface is deliberately block-oriented (one shot per stream,
- * no streaming state): encoded-tile streams are small and the
- * second-stage compressor runs once per stream per tile.
+ * no streaming state): encoded-tile streams are small. Second-stage
+ * selection (second_stage.hh) compresses each stream at most once per
+ * allowed family, from a view over the encoded tile's own arrays, and
+ * decompresses only the image it stores.
  */
 
 #ifndef COPERNICUS_COMPRESS_STREAM_COMPRESSOR_HH

@@ -38,18 +38,19 @@ class BcsrEncoded : public EncodedTile
                 Bytes(offsets.size()) * indexBytes};
     }
 
-    std::vector<TypedStream>
+    TypedStreams
     typedStreams() const override
     {
-        TypedStream values_stream{StreamClass::Value, "values", {}};
+        std::size_t value_count = 0;
         for (const auto &blk : values)
-            appendScalarBytes(values_stream.bytes, blk.data(),
-                              blk.size());
-        std::vector<TypedStream> out;
-        out.push_back(std::move(values_stream));
-        out.push_back(scalarStream(StreamClass::Index, "colInx", colInx));
-        out.push_back(
-            scalarStream(StreamClass::Offset, "offsets", offsets));
+            value_count += blk.size();
+        TypedStreams out;
+        StreamFill fill = out.gather(StreamClass::Value, "values",
+                                     value_count * valueBytes);
+        for (const auto &blk : values)
+            fill.put(blk.data(), blk.size());
+        out.view(StreamClass::Index, "colInx", colInx);
+        out.view(StreamClass::Offset, "offsets", offsets);
         return out;
     }
 

@@ -41,18 +41,17 @@ class BitmapEncoded : public EncodedTile
         return {Bytes(values.size()) * valueBytes, mask_bytes};
     }
 
-    std::vector<TypedStream>
+    TypedStreams
     typedStreams() const override
     {
-        TypedStream mask_stream{StreamClass::Index, "mask", {}};
-        appendScalarBytes(mask_stream.bytes, mask.data(), mask.size());
+        TypedStreams out;
+        out.view(StreamClass::Value, "values", values);
         // The wire image is the packed p*p bits, not the backing
-        // words: truncate the tail padding the words add.
-        mask_stream.bytes.resize((std::size_t(p) * p + 7) / 8);
-        std::vector<TypedStream> out;
-        out.push_back(
-            scalarStream(StreamClass::Value, "values", values));
-        out.push_back(std::move(mask_stream));
+        // words: view only the leading bytes, not the tail padding
+        // the words add.
+        out.view(StreamClass::Index, "mask",
+                 std::as_bytes(std::span(mask))
+                     .first((std::size_t(p) * p + 7) / 8));
         return out;
     }
 

@@ -31,12 +31,14 @@ class CooEncoded : public EncodedTile
     }
 
     /** The interleaved tuples split into planar streams (SoA). */
-    std::vector<TypedStream>
+    TypedStreams
     typedStreams() const override
     {
-        return {scalarStream(StreamClass::Value, "values", values),
-                scalarStream(StreamClass::Index, "rowInx", rowInx),
-                scalarStream(StreamClass::Index, "colInx", colInx)};
+        TypedStreams out;
+        out.view(StreamClass::Value, "values", values);
+        out.view(StreamClass::Index, "rowInx", rowInx);
+        out.view(StreamClass::Index, "colInx", colInx);
+        return out;
     }
 
     std::vector<Index> rowInx;

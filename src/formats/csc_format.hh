@@ -30,12 +30,14 @@ class CscEncoded : public EncodedTile
                 Bytes(offsets.size()) * indexBytes};
     }
 
-    std::vector<TypedStream>
+    TypedStreams
     typedStreams() const override
     {
-        return {scalarStream(StreamClass::Value, "values", values),
-                scalarStream(StreamClass::Index, "rowInx", rowInx),
-                scalarStream(StreamClass::Offset, "offsets", offsets)};
+        TypedStreams out;
+        out.view(StreamClass::Value, "values", values);
+        out.view(StreamClass::Index, "rowInx", rowInx);
+        out.view(StreamClass::Offset, "offsets", offsets);
+        return out;
     }
 
     /** Cumulative non-zero count through each column; length p. */

@@ -35,12 +35,14 @@ class CsrEncoded : public EncodedTile
                 Bytes(offsets.size()) * indexBytes};
     }
 
-    std::vector<TypedStream>
+    TypedStreams
     typedStreams() const override
     {
-        return {scalarStream(StreamClass::Value, "values", values),
-                scalarStream(StreamClass::Index, "colInx", colInx),
-                scalarStream(StreamClass::Offset, "offsets", offsets)};
+        TypedStreams out;
+        out.view(StreamClass::Value, "values", values);
+        out.view(StreamClass::Index, "colInx", colInx);
+        out.view(StreamClass::Offset, "offsets", offsets);
+        return out;
     }
 
     /** Cumulative non-zero count through each row; length p. */

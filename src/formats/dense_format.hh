@@ -29,10 +29,12 @@ class DenseEncoded : public EncodedTile
         return {Bytes(values.size()) * valueBytes};
     }
 
-    std::vector<TypedStream>
+    TypedStreams
     typedStreams() const override
     {
-        return {scalarStream(StreamClass::Value, "values", values)};
+        TypedStreams out;
+        out.view(StreamClass::Value, "values", values);
+        return out;
     }
 
     /** Row-major p*p values including zeros. */

@@ -45,19 +45,22 @@ class DiaEncoded : public EncodedTile
     }
 
     /** Header numbers and padded value slots as planar streams. */
-    std::vector<TypedStream>
+    TypedStreams
     typedStreams() const override
     {
-        TypedStream values{StreamClass::Value, "values", {}};
-        TypedStream headers{StreamClass::Offset, "headers", {}};
+        std::size_t value_count = 0;
+        for (const DiaDiagonal &d : diagonals)
+            value_count += d.values.size();
+        TypedStreams out;
+        StreamFill values = out.gather(StreamClass::Value, "values",
+                                       value_count * valueBytes);
+        StreamFill headers =
+            out.gather(StreamClass::Offset, "headers",
+                       diagonals.size() * sizeof(DiaDiagonal::number));
         for (const DiaDiagonal &d : diagonals) {
-            appendScalarBytes(headers.bytes, &d.number, 1);
-            appendScalarBytes(values.bytes, d.values.data(),
-                              d.values.size());
+            headers.put(d.number);
+            values.put(d.values.data(), d.values.size());
         }
-        std::vector<TypedStream> out;
-        out.push_back(std::move(values));
-        out.push_back(std::move(headers));
         return out;
     }
 

@@ -1,6 +1,7 @@
 #include "formats/dok_format.hh"
 
 #include <algorithm>
+#include <utility>
 
 namespace copernicus {
 
@@ -15,32 +16,29 @@ DokCodec::encode(const Tile &tile) const
     return encoded;
 }
 
-std::vector<TypedStream>
+TypedStreams
 DokEncoded::typedStreams() const
 {
-    // Sorted (row, col) order: the packed key sorts row-major, so one
-    // sort of the keys yields the canonical COO ordering.
-    std::vector<std::uint64_t> keys;
-    keys.reserve(table.size());
-    for (const auto &[key, value] : table)
-        keys.push_back(key);
-    std::sort(keys.begin(), keys.end());
+    // Sorted (row, col) order: the packed key sorts row-major and keys
+    // are unique, so one sort of the entries by key yields the
+    // canonical COO ordering.
+    std::vector<std::pair<std::uint64_t, Value>> entries(table.begin(),
+                                                         table.end());
+    std::sort(entries.begin(), entries.end(),
+              [](const auto &a, const auto &b) { return a.first < b.first; });
 
-    TypedStream values{StreamClass::Value, "values", {}};
-    TypedStream rows{StreamClass::Index, "rowInx", {}};
-    TypedStream cols{StreamClass::Index, "colInx", {}};
-    for (const std::uint64_t key : keys) {
-        const Index row = static_cast<Index>(key >> 32);
-        const Index col = static_cast<Index>(key & 0xffffffffULL);
-        const Value value = table.at(key);
-        appendScalarBytes(values.bytes, &value, 1);
-        appendScalarBytes(rows.bytes, &row, 1);
-        appendScalarBytes(cols.bytes, &col, 1);
+    TypedStreams out;
+    StreamFill values = out.gather(StreamClass::Value, "values",
+                                   entries.size() * valueBytes);
+    StreamFill rows = out.gather(StreamClass::Index, "rowInx",
+                                 entries.size() * indexBytes);
+    StreamFill cols = out.gather(StreamClass::Index, "colInx",
+                                 entries.size() * indexBytes);
+    for (const auto &[key, value] : entries) {
+        values.put(value);
+        rows.put(static_cast<Index>(key >> 32));
+        cols.put(static_cast<Index>(key & 0xffffffffULL));
     }
-    std::vector<TypedStream> out;
-    out.push_back(std::move(values));
-    out.push_back(std::move(rows));
-    out.push_back(std::move(cols));
     return out;
 }
 

@@ -37,7 +37,7 @@ class DokEncoded : public EncodedTile
      * table's iteration order is not deterministic, the serialized
      * streams must be.
      */
-    std::vector<TypedStream> typedStreams() const override;
+    TypedStreams typedStreams() const override;
 
     /** Pack (row, col) into one hash key. */
     static std::uint64_t

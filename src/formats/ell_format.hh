@@ -39,11 +39,13 @@ class EllEncoded : public EncodedTile
                 Bytes(colInx.size()) * indexBytes};
     }
 
-    std::vector<TypedStream>
+    TypedStreams
     typedStreams() const override
     {
-        return {scalarStream(StreamClass::Value, "values", values),
-                scalarStream(StreamClass::Index, "colInx", colInx)};
+        TypedStreams out;
+        out.view(StreamClass::Value, "values", values);
+        out.view(StreamClass::Index, "colInx", colInx);
+        return out;
     }
 
     /** Compressed row width (padding included). */

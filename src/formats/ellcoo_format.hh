@@ -39,17 +39,16 @@ class EllCooEncoded : public EncodedTile
                     (valueBytes + 2 * indexBytes)};
     }
 
-    std::vector<TypedStream>
+    TypedStreams
     typedStreams() const override
     {
-        return {scalarStream(StreamClass::Value, "values", values),
-                scalarStream(StreamClass::Index, "colInx", colInx),
-                scalarStream(StreamClass::Value, "overflowValues",
-                             overflowValues),
-                scalarStream(StreamClass::Index, "overflowRows",
-                             overflowRows),
-                scalarStream(StreamClass::Index, "overflowCols",
-                             overflowCols)};
+        TypedStreams out;
+        out.view(StreamClass::Value, "values", values);
+        out.view(StreamClass::Index, "colInx", colInx);
+        out.view(StreamClass::Value, "overflowValues", overflowValues);
+        out.view(StreamClass::Index, "overflowRows", overflowRows);
+        out.view(StreamClass::Index, "overflowCols", overflowCols);
+        return out;
     }
 
     /** Fixed ELL-part width. */

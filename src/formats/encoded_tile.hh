@@ -66,11 +66,12 @@ class EncodedTile
     /**
      * The same bytes as streams(), split into labeled, classed,
      * serialized payloads for second-stage compression (see
-     * typed_stream.hh). Implementations must cover the streams()
-     * total exactly; copernicus_lint's `streams` pass and the tier-1
-     * tests enforce it.
+     * typed_stream.hh). Contiguous arrays are viewed in place, so the
+     * result must not outlive this tile. Implementations must cover
+     * the streams() total exactly; copernicus_lint's `streams` pass
+     * and the tier-1 tests enforce it.
      */
-    virtual std::vector<TypedStream> typedStreams() const = 0;
+    virtual TypedStreams typedStreams() const = 0;
 
     /** Edge length p of the source tile. */
     Index tileSize() const { return p; }

@@ -41,13 +41,15 @@ class JdsEncoded : public EncodedTile
                 Bytes(perm().size() + jdPtr().size()) * indexBytes};
     }
 
-    std::vector<TypedStream>
+    TypedStreams
     typedStreams() const override
     {
-        return {scalarStream(StreamClass::Value, "values", values),
-                scalarStream(StreamClass::Index, "colInx", colInx()),
-                scalarStream(StreamClass::Index, "perm", perm()),
-                scalarStream(StreamClass::Offset, "jdPtr", jdPtr())};
+        TypedStreams out;
+        out.view(StreamClass::Value, "values", values);
+        out.view(StreamClass::Index, "colInx", colInx());
+        out.view(StreamClass::Index, "perm", perm());
+        out.view(StreamClass::Offset, "jdPtr", jdPtr());
+        return out;
     }
 
     /** Non-zero values, jagged-diagonal-major. */

@@ -22,30 +22,30 @@ LilCodec::encode(const Tile &tile) const
     return encoded;
 }
 
-std::vector<TypedStream>
+TypedStreams
 LilEncoded::typedStreams() const
 {
-    TypedStream values{StreamClass::Value, "values", {}};
-    TypedStream rows{StreamClass::Index, "rowInx", {}};
+    // One entry per non-zero plus one end marker per column, so both
+    // streams are sized once, up front.
+    const std::size_t entries = std::size_t(nnz()) + tileSize();
+    TypedStreams out;
+    StreamFill values =
+        out.gather(StreamClass::Value, "values", entries * valueBytes);
+    StreamFill rows =
+        out.gather(StreamClass::Index, "rowInx", entries * indexBytes);
     // Column-major: each column's packed list, closed by one
     // end-marker entry (a zero value slot under the endMarker row).
     for (Index col = 0; col < tileSize(); ++col) {
         for (Index level = 0;; ++level) {
             const Index row = rowAt(level, col);
+            rows.put(row);
             if (row == endMarker) {
-                const Value sentinel = Value(0);
-                appendScalarBytes(values.bytes, &sentinel, 1);
-                appendScalarBytes(rows.bytes, &row, 1);
+                values.put(Value(0));
                 break;
             }
-            const Value value = valueAt(level, col);
-            appendScalarBytes(values.bytes, &value, 1);
-            appendScalarBytes(rows.bytes, &row, 1);
+            values.put(valueAt(level, col));
         }
     }
-    std::vector<TypedStream> out;
-    out.push_back(std::move(values));
-    out.push_back(std::move(rows));
     return out;
 }
 

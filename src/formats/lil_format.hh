@@ -50,7 +50,7 @@ class LilEncoded : public EncodedTile
      * entries followed by one end-marker entry — the padded BRAM
      * arrays never cross the memory interface.
      */
-    std::vector<TypedStream> typedStreams() const override;
+    TypedStreams typedStreams() const override;
 
     /** Stored rows: longest column + 1 sentinel row. */
     Index height() const { return h; }

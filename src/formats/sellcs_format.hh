@@ -46,24 +46,28 @@ class SellCsEncoded : public EncodedTile
         return {value_bytes, index_bytes};
     }
 
-    std::vector<TypedStream>
+    TypedStreams
     typedStreams() const override
     {
-        TypedStream values{StreamClass::Value, "values", {}};
-        TypedStream colInx{StreamClass::Index, "colInx", {}};
-        TypedStream widths{StreamClass::Offset, "widths", {}};
+        std::size_t value_count = 0;
+        std::size_t index_count = 0;
         for (const auto &slice : slices) {
-            appendScalarBytes(values.bytes, slice.values.data(),
-                              slice.values.size());
-            appendScalarBytes(colInx.bytes, slice.colInx.data(),
-                              slice.colInx.size());
-            appendScalarBytes(widths.bytes, &slice.width, 1);
+            value_count += slice.values.size();
+            index_count += slice.colInx.size();
         }
-        std::vector<TypedStream> out;
-        out.push_back(std::move(values));
-        out.push_back(std::move(colInx));
-        out.push_back(std::move(widths));
-        out.push_back(scalarStream(StreamClass::Index, "perm", perm));
+        TypedStreams out;
+        StreamFill values = out.gather(StreamClass::Value, "values",
+                                       value_count * valueBytes);
+        StreamFill colInx = out.gather(StreamClass::Index, "colInx",
+                                       index_count * indexBytes);
+        StreamFill widths = out.gather(StreamClass::Offset, "widths",
+                                       slices.size() * indexBytes);
+        for (const auto &slice : slices) {
+            values.put(slice.values.data(), slice.values.size());
+            colInx.put(slice.colInx.data(), slice.colInx.size());
+            widths.put(slice.width);
+        }
+        out.view(StreamClass::Index, "perm", perm);
         return out;
     }
 

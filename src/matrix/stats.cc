@@ -1,7 +1,6 @@
 #include "matrix/stats.hh"
 
 #include <cstdlib>
-#include <set>
 
 #include "common/status.hh"
 
@@ -18,19 +17,28 @@ computeStats(const TripletMatrix &matrix)
     stats.nnz = matrix.nnz();
     stats.density = matrix.density();
 
-    std::set<std::int64_t> diagonals;
+    // One bit per diagonal d = col - row in [-(rows - 1), cols - 1]:
+    // slot d + rows - 1 of rows + cols - 1.
+    const std::size_t diagonalSlots =
+        stats.rows == 0 || stats.cols == 0
+            ? 0
+            : std::size_t(stats.rows) + stats.cols - 1;
+    std::vector<bool> seen(diagonalSlots, false);
     std::size_t diag_nnz = 0;
     std::vector<Index> row_nnz(matrix.rows(), 0);
     for (const auto &t : matrix.triplets()) {
         ++row_nnz[t.row];
         const std::int64_t d = static_cast<std::int64_t>(t.col) -
                                static_cast<std::int64_t>(t.row);
-        diagonals.insert(d);
+        const std::size_t slot = std::size_t(d + stats.rows - 1);
+        if (!seen[slot]) {
+            seen[slot] = true;
+            ++stats.nonZeroDiagonals;
+        }
         diag_nnz += d == 0;
         const Index dist = static_cast<Index>(std::llabs(d));
         stats.bandwidth = std::max(stats.bandwidth, dist);
     }
-    stats.nonZeroDiagonals = static_cast<Index>(diagonals.size());
     stats.diagonalFraction =
         stats.nnz == 0 ? 0.0
                        : static_cast<double>(diag_nnz) / stats.nnz;

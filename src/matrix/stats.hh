@@ -52,6 +52,8 @@ struct MatrixStats
 
     /** True iff every non-zero sits on the main diagonal. */
     bool isDiagonal() const { return bandwidth == 0 && nnz > 0; }
+
+    bool operator==(const MatrixStats &) const = default;
 };
 
 /** Compute MatrixStats for a finalized matrix. */

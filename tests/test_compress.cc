@@ -11,9 +11,11 @@
  * so decoder bounds handling is exercised with full instrumentation.
  */
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -39,7 +41,7 @@ families()
 /** Compress, decompress, and require byte-exact recovery. */
 void
 expectRoundtrip(const StreamCompressor &compressor,
-                const std::vector<std::byte> &input)
+                std::span<const std::byte> input)
 {
     std::vector<std::byte> compressed;
     const std::size_t written = compressor.compress(input, compressed);
@@ -148,27 +150,181 @@ TEST(Compress, FuzzMixedContent)
     }
 }
 
+/** The tiles the encoded-stream fuzzers run over: p = 16 tiles of
+ *  a random and a banded matrix. */
+std::vector<Tile>
+fuzzTiles()
+{
+    Rng rng(0x7E57);
+    const TripletMatrix random = randomMatrix(128, 0.02, rng);
+    const TripletMatrix band = bandMatrix(128, 4, rng);
+    std::vector<Tile> tiles;
+    for (const TripletMatrix *matrix : {&random, &band})
+        for (Tile &tile : partition(*matrix, 16).tiles)
+            tiles.push_back(std::move(tile));
+    return tiles;
+}
+
 TEST(Compress, FuzzEncodedTileStreams)
 {
     // The payloads the second stage actually sees: typed streams of
     // real encodings over random and banded matrices.
     const FormatRegistry &registry = defaultRegistry();
-    Rng rng(0x7E57);
-    const TripletMatrix random = randomMatrix(128, 0.02, rng);
-    const TripletMatrix band = bandMatrix(128, 4, rng);
-    for (const TripletMatrix *matrix : {&random, &band}) {
-        const Partitioning parts = partition(*matrix, 16);
-        for (const Tile &tile : parts.tiles) {
-            for (FormatKind kind :
-                 {FormatKind::CSR, FormatKind::SELLCS,
-                  FormatKind::JDS, FormatKind::BITMAP}) {
+    for (const Tile &tile : fuzzTiles()) {
+        for (FormatKind kind : {FormatKind::CSR, FormatKind::SELLCS,
+                                FormatKind::JDS, FormatKind::BITMAP}) {
+            const auto encoded = registry.codec(kind).encode(tile);
+            for (const TypedStream &stream : encoded->typedStreams())
+                for (const StreamCompressor *compressor : families())
+                    expectRoundtrip(*compressor, stream.bytes);
+        }
+    }
+}
+
+/**
+ * Reference selection: the verify-everything loop compressTile() used
+ * before it verified only the stored image. Every allowed family
+ * compresses and roundtrip-checks the stream; a verified candidate
+ * replaces the current choice only if it is strictly smaller, so STORE
+ * wins unless compression beats it and LZ4 wins ties.
+ */
+CompressedStream
+referenceSelect(const TypedStream &stream, SecondStageChoice choice)
+{
+    CompressedStream out;
+    out.cls = stream.cls;
+    out.name = stream.name;
+    out.rawBytes = stream.size();
+    out.payloadBytes = out.rawBytes;
+    out.payload.assign(stream.bytes.begin(), stream.bytes.end());
+    for (const StreamCompressor *compressor : families()) {
+        const bool allowed =
+            choice == SecondStageChoice::Auto ||
+            (choice == SecondStageChoice::Lz4 &&
+             compressor->family() == CompressionFamily::Lz4) ||
+            (choice == SecondStageChoice::Lzf &&
+             compressor->family() == CompressionFamily::Lzf);
+        if (!allowed)
+            continue;
+        std::vector<std::byte> image;
+        compressor->compress(stream.bytes, image);
+        std::vector<std::byte> check(stream.bytes.size());
+        if (!compressor->decompress(image, check) ||
+            !std::ranges::equal(check, stream.bytes))
+            continue;
+        if (Bytes(image.size()) + streamHeaderBytes < out.storedBytes()) {
+            out.family = compressor->family();
+            out.payloadBytes = Bytes(image.size());
+            out.payload = std::move(image);
+        }
+    }
+    return out;
+}
+
+TEST(Compress, SelectionMatchesTryEveryCandidate)
+{
+    const FormatRegistry &registry = defaultRegistry();
+    const std::vector<Tile> tiles = fuzzTiles();
+    std::size_t compared = 0;
+    std::size_t compressed = 0;
+    for (SecondStageChoice choice :
+         {SecondStageChoice::Auto, SecondStageChoice::Lz4,
+          SecondStageChoice::Lzf, SecondStageChoice::Store}) {
+        CompressionPolicy policy;
+        policy.value = policy.index = policy.offset = choice;
+        for (const Tile &tile : tiles) {
+            for (FormatKind kind : allFormats()) {
                 const auto encoded = registry.codec(kind).encode(tile);
-                for (const TypedStream &stream :
-                     encoded->typedStreams())
-                    for (const StreamCompressor *compressor :
-                         families())
-                        expectRoundtrip(*compressor, stream.bytes);
+                const TypedStreams typed = encoded->typedStreams();
+                const TileCompression comp =
+                    compressTile(*encoded, policy, true);
+                ASSERT_EQ(typed.size(), comp.streams.size());
+                for (std::size_t i = 0; i < typed.size(); ++i) {
+                    const CompressedStream want =
+                        referenceSelect(typed[i], choice);
+                    const CompressedStream &got = comp.streams[i];
+                    ASSERT_EQ(want.family, got.family)
+                        << formatName(kind) << " stream " << want.name;
+                    ASSERT_EQ(want.payloadBytes, got.payloadBytes)
+                        << formatName(kind) << " stream " << want.name;
+                    ASSERT_EQ(want.payload, got.payload)
+                        << formatName(kind) << " stream " << want.name;
+                    ++compared;
+                    compressed += got.family != CompressionFamily::Store;
+                }
             }
+        }
+    }
+    // The inputs must exercise both outcomes, or the test says little.
+    EXPECT_GT(compressed, 0u);
+    EXPECT_LT(compressed, compared);
+}
+
+/** Every string of length @p n over the letters 0 .. alphabet-1. */
+template <typename Fn>
+void
+forEachString(std::size_t n, unsigned alphabet, Fn fn)
+{
+    std::vector<std::byte> s(n, std::byte(0));
+    for (;;) {
+        fn(std::span<const std::byte>(s));
+        std::size_t i = 0;
+        while (i < n && unsigned(s[i]) + 1 == alphabet)
+            s[i++] = std::byte(0);
+        if (i == n)
+            return;
+        s[i] = std::byte(unsigned(s[i]) + 1);
+    }
+}
+
+/** Stored size if @p compressor's image of @p s were selected. */
+std::size_t
+compressedStoredBytes(const StreamCompressor &compressor,
+                      std::span<const std::byte> s)
+{
+    std::vector<std::byte> image;
+    compressor.compress(s, image);
+    return image.size() + streamHeaderBytes;
+}
+
+/**
+ * compressTile() never runs a codec on a stream shorter than its
+ * minimum winning length. That skip is exact only if no such stream
+ * can beat STORE: check every 2-letter string below the LZ4 bound,
+ * every 3-letter string below the LZF bound, and every single-byte
+ * run; and check that each bound is tight, so a codec change that
+ * moves it fails here.
+ */
+TEST(Compress, ShortStreamsNeverBeatStore)
+{
+    const struct
+    {
+        const StreamCompressor *compressor;
+        std::size_t minWinning;
+        unsigned alphabet;
+    } bounds[] = {{&lz4Compressor(), lz4MinWinningBytes, 2},
+                  {&lzfCompressor(), lzfMinWinningBytes, 3}};
+    for (const auto &bound : bounds) {
+        const StreamCompressor &codec = *bound.compressor;
+        const char *family = compressionFamilyName(codec.family());
+        for (std::size_t n = 0; n < bound.minWinning; ++n) {
+            forEachString(n, bound.alphabet,
+                          [&](std::span<const std::byte> s) {
+                              ASSERT_GE(compressedStoredBytes(codec, s), n)
+                                  << family << " n=" << n;
+                          });
+            for (unsigned b = 0; b < 256; ++b) {
+                const std::vector<std::byte> run(n, std::byte(b));
+                ASSERT_GE(compressedStoredBytes(codec, run), n)
+                    << family << " run of " << b << " n=" << n;
+            }
+        }
+        // Tight: at the bound, a run of any one byte already wins.
+        for (unsigned b = 0; b < 256; ++b) {
+            const std::vector<std::byte> run(bound.minWinning,
+                                             std::byte(b));
+            EXPECT_LT(compressedStoredBytes(codec, run), bound.minWinning)
+                << family << " run of " << b;
         }
     }
 }
@@ -298,7 +454,7 @@ TEST(Compress, KeptPayloadsDecompressToOriginal)
             EXPECT_EQ(typed[i].cls, s.cls);
             EXPECT_EQ(typed[i].size(), s.rawBytes);
             if (s.family == CompressionFamily::Store) {
-                EXPECT_EQ(typed[i].bytes, s.payload);
+                EXPECT_TRUE(std::ranges::equal(typed[i].bytes, s.payload));
                 continue;
             }
             sawCompressed = true;
@@ -311,7 +467,7 @@ TEST(Compress, KeptPayloadsDecompressToOriginal)
             const StreamCompressor *codec = compressorFor(s.family);
             ASSERT_NE(nullptr, codec);
             ASSERT_TRUE(codec->decompress(s.payload, output));
-            EXPECT_EQ(typed[i].bytes, output);
+            EXPECT_TRUE(std::ranges::equal(typed[i].bytes, output));
         }
     }
     // Band-matrix CSR streams are highly repetitive; selection must

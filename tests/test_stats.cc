@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <set>
+
 #include "common/rng.hh"
 #include "matrix/stats.hh"
 #include "workloads/generators.hh"
@@ -48,6 +51,86 @@ TEST(MatrixStatsTest, EmptyMatrix)
     EXPECT_EQ(stats.nonZeroDiagonals, 0u);
     EXPECT_FALSE(stats.isDiagonal());
     EXPECT_DOUBLE_EQ(stats.diagonalFraction, 0.0);
+}
+
+/** computeStats as it was with a std::set of diagonals: the reference
+ *  for the bitmap version. */
+MatrixStats
+referenceStats(const TripletMatrix &matrix)
+{
+    MatrixStats stats;
+    stats.rows = matrix.rows();
+    stats.cols = matrix.cols();
+    stats.nnz = matrix.nnz();
+    stats.density = matrix.density();
+    std::set<std::int64_t> diagonals;
+    std::size_t diag_nnz = 0;
+    std::vector<Index> row_nnz(matrix.rows(), 0);
+    for (const auto &t : matrix.triplets()) {
+        ++row_nnz[t.row];
+        const std::int64_t d = static_cast<std::int64_t>(t.col) -
+                               static_cast<std::int64_t>(t.row);
+        diagonals.insert(d);
+        diag_nnz += d == 0;
+        stats.bandwidth =
+            std::max(stats.bandwidth, static_cast<Index>(std::llabs(d)));
+    }
+    stats.nonZeroDiagonals = static_cast<Index>(diagonals.size());
+    stats.diagonalFraction =
+        stats.nnz == 0 ? 0.0
+                       : static_cast<double>(diag_nnz) / stats.nnz;
+    for (Index nnz : row_nnz) {
+        stats.maxRowNnz = std::max(stats.maxRowNnz, nnz);
+        stats.nonZeroRows += nnz != 0;
+    }
+    stats.meanRowNnz = stats.rows == 0
+                           ? 0.0
+                           : static_cast<double>(stats.nnz) / stats.rows;
+    return stats;
+}
+
+/** Random rectangular matrix that also fills both corner diagonals. */
+TripletMatrix
+rectangularMatrix(Index rows, Index cols, std::size_t entries, Rng &rng)
+{
+    TripletMatrix m(rows, cols);
+    m.add(rows - 1, 0, 1.0f);
+    m.add(0, cols - 1, 1.0f);
+    for (std::size_t i = 0; i < entries; ++i)
+        m.add(Index(rng() % rows), Index(rng() % cols), 1.0f);
+    m.finalize();
+    return m;
+}
+
+TEST(MatrixStatsTest, DiagonalBitmapMatchesSetReference)
+{
+    Rng rng(0x57A7);
+    std::vector<TripletMatrix> inputs;
+    TripletMatrix empty(8, 8);
+    empty.finalize();
+    inputs.push_back(std::move(empty));
+    TripletMatrix emptyRect(3, 11);
+    emptyRect.finalize();
+    inputs.push_back(std::move(emptyRect));
+    TripletMatrix single(1, 1);
+    single.add(0, 0, 2.0f);
+    single.finalize();
+    inputs.push_back(std::move(single));
+    inputs.push_back(rectangularMatrix(7, 300, 200, rng));
+    inputs.push_back(rectangularMatrix(300, 7, 200, rng));
+    inputs.push_back(rectangularMatrix(1, 64, 10, rng));
+    inputs.push_back(rectangularMatrix(64, 1, 10, rng));
+    inputs.push_back(randomMatrix(200, 0.02, rng));
+    inputs.push_back(bandMatrix(150, 9, rng));
+    inputs.push_back(rmatGraph(512, 4000, rng));
+    for (const TripletMatrix &m : inputs) {
+        const MatrixStats got = computeStats(m);
+        const MatrixStats want = referenceStats(m);
+        EXPECT_TRUE(got == want)
+            << m.rows() << "x" << m.cols() << " nnz " << m.nnz()
+            << ": diagonals " << got.nonZeroDiagonals << " vs "
+            << want.nonZeroDiagonals;
+    }
 }
 
 TEST(MatrixStatsTest, MeanRowNnz)

@@ -101,9 +101,10 @@ lz4Compress(std::span<const std::byte> src, std::vector<std::byte> &out)
             }
             // Extend forward to the literal tail, backward into the
             // pending literals.
-            std::size_t len = minMatch;
-            while (i + len < matchLimit && in[match + len] == in[i + len])
-                ++len;
+            std::size_t len =
+                minMatch + commonPrefix(in + match + minMatch,
+                                        in + i + minMatch,
+                                        matchLimit - i - minMatch);
             while (i > anchor && match > 0 && in[i - 1] == in[match - 1]) {
                 --i;
                 --match;
@@ -168,11 +169,9 @@ lz4Decompress(std::span<const std::byte> src, std::span<std::byte> dst)
         }
         if (matchLen > std::size_t(outEnd - out))
             return false;
-        // Byte-wise copy: overlapping matches (offset < length)
-        // replicate the window, which is the point.
-        const std::uint8_t *from = out - offset;
-        for (std::size_t k = 0; k < matchLen; ++k)
-            out[k] = from[k];
+        // Overlapping matches (offset < length) replicate the window,
+        // which is the point.
+        copyMatch(out, offset, matchLen);
         out += matchLen;
     }
     return out == outEnd;

@@ -1,5 +1,6 @@
 #include "compress/lzf_block.hh"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 
@@ -86,10 +87,11 @@ lzfCompress(std::span<const std::byte> src, std::vector<std::byte> &out)
                 ++i;
                 continue;
             }
-            std::size_t len = minMatch;
-            while (len < maxMatch && i + len < n &&
-                   in[match + len] == in[i + len])
-                ++len;
+            const std::size_t len =
+                minMatch + commonPrefix(in + match + minMatch,
+                                        in + i + minMatch,
+                                        std::min(maxMatch, n - i) -
+                                            minMatch);
             flushLiterals(out, in + anchor, i - anchor);
             emitMatch(out, i - match, len);
             i += len;
@@ -135,9 +137,7 @@ lzfDecompress(std::span<const std::byte> src, std::span<std::byte> dst)
         if (offset > std::size_t(out - outBegin) ||
             len > std::size_t(outEnd - out))
             return false;
-        const std::uint8_t *from = out - offset;
-        for (std::size_t k = 0; k < len; ++k)
-            out[k] = from[k];
+        copyMatch(out, offset, len);
         out += len;
     }
     return out == outEnd;

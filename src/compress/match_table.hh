@@ -11,14 +11,21 @@
  * earlier call is therefore never a candidate, so the compressed bytes
  * depend only on the input, not on what the thread compressed before.
  * The table is cleared only when the base would wrap.
+ *
+ * The two helpers below are the codecs' inner loops: extending a match
+ * and replaying one. Both are exact replacements for the byte-at-a-time
+ * loops they stand for, so images and decoded bytes do not change.
  */
 
 #ifndef COPERNICUS_COMPRESS_MATCH_TABLE_HH
 #define COPERNICUS_COMPRESS_MATCH_TABLE_HH
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 
 namespace copernicus {
@@ -59,6 +66,51 @@ class MatchTable
     std::uint32_t base = 0;
     std::uint32_t next = 0;
 };
+
+/**
+ * Length of the common prefix of @p a and @p b, at most @p limit bytes;
+ * both ranges must hold @p limit readable bytes. Compares eight bytes
+ * at a time: the first differing byte of a little-endian word is its
+ * lowest set byte of a ^ b.
+ */
+inline std::size_t
+commonPrefix(const std::uint8_t *a, const std::uint8_t *b,
+             std::size_t limit)
+{
+    static_assert(std::endian::native == std::endian::little);
+    std::size_t len = 0;
+    while (len + 8 <= limit) {
+        std::uint64_t wa;
+        std::uint64_t wb;
+        std::memcpy(&wa, a + len, 8);
+        std::memcpy(&wb, b + len, 8);
+        if (wa != wb)
+            return len + std::countr_zero(wa ^ wb) / 8;
+        len += 8;
+    }
+    while (len < limit && a[len] == b[len])
+        ++len;
+    return len;
+}
+
+/**
+ * Append a match: @p len bytes at @p out, each equal to the byte
+ * @p offset before it (offset >= 1 bytes already written). When the
+ * match overlaps its source, the written bytes repeat with period
+ * @p offset, so whole periods can be copied from the source without
+ * overlap, the copyable span doubling each round.
+ */
+inline void
+copyMatch(std::uint8_t *out, std::size_t offset, std::size_t len)
+{
+    const std::uint8_t *from = out - offset;
+    std::size_t done = 0;
+    while (done < len) {
+        const std::size_t chunk = std::min(len - done, offset + done);
+        std::memcpy(out + done, from, chunk);
+        done += chunk;
+    }
+}
 
 } // namespace copernicus
 

@@ -26,7 +26,6 @@
 #include "common/rng.hh"
 #include "common/status.hh"
 #include "common/thread_pool.hh"
-#include "formats/encode_cache.hh"
 #include "matrix/triplet_matrix.hh"
 #include "trace/profile.hh"
 #include "trace/trace_writer.hh"
@@ -177,14 +176,12 @@ writeBenchArtifacts()
     if (flags.profile || !flags.statsJsonPath.empty()) {
         const ProfileStats stats;
         const ThreadPoolStats poolStats;
-        const EncodeCacheStats cacheStats;
         if (flags.profile)
             stats.dump(std::cerr);
         if (!flags.statsJsonPath.empty()) {
             std::ofstream out(flags.statsJsonPath);
             fatalIf(!out, "cannot open '" + flags.statsJsonPath + "'");
-            dumpGroupsJson(out, {&stats.group(), &poolStats.group(),
-                                 &cacheStats.group()});
+            dumpGroupsJson(out, {&stats.group(), &poolStats.group()});
             std::fprintf(stderr, "wrote stats JSON to %s\n",
                          flags.statsJsonPath.c_str());
         }
@@ -230,7 +227,6 @@ parseBenchFlags(int argc, char **argv)
         // time. Construct every global the hook reads first (the pool
         // after --jobs is applied), so each outlives the hook.
         ThreadPool::global();
-        EncodeCache::global();
         SpanCollector::global();
         std::atexit(writeBenchArtifacts);
     }

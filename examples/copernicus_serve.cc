@@ -21,8 +21,8 @@
  *                      memo (default 8 MiB; 0 disables memoization)
  *   --max-frame-bytes N  per-frame payload cap on binary-framing
  *                      connections (default 16 MiB)
- *   --stats-json PATH  write the serve/thread_pool/encode_cache stat
- *                      groups as JSON at drain
+ *   --stats-json PATH  write the serve/thread_pool stat groups (and
+ *                      the live load state) as JSON at drain
  *   --trace PATH       write the request-lane Chrome trace at drain
  *   --no-lint          skip the startup registry contract check
  *   --lint-full        extend the startup check with the grammar and

@@ -227,6 +227,23 @@ Study::run() const
 
     StudyResult result;
     result.rows.resize(points.size());
+    // One design point: a row the journal already holds is reused,
+    // anything else is evaluated and journaled.
+    const auto runPoint = [&](std::size_t i, TraceSink *sink) {
+        const Point &pt = points[i];
+        const std::string &workload = matrices[pt.w].first;
+        if (cfg.journal) {
+            const StudyRow *done = cfg.journal->completed(
+                workload, pt.kind, pt.parts->partitionSize);
+            if (done != nullptr) {
+                result.rows[i] = *done;
+                return;
+            }
+        }
+        result.rows[i] = makeRow(workload, *pt.parts, pt.kind, sink);
+        if (cfg.journal)
+            cfg.journal->record(result.rows[i]);
+    };
     if (pool && points.size() > 1) {
         // Each design point is pure and writes only its own row, so
         // completion order cannot change the result; tracing is forced
@@ -243,20 +260,7 @@ Study::run() const
                 cancelled.store(true, std::memory_order_relaxed);
                 return;
             }
-            const Point &pt = points[i];
-            const std::string &workload = matrices[pt.w].first;
-            if (cfg.journal) {
-                const StudyRow *done = cfg.journal->completed(
-                    workload, pt.kind, pt.parts->partitionSize);
-                if (done != nullptr) {
-                    result.rows[i] = *done;
-                    return;
-                }
-            }
-            result.rows[i] = makeRow(workload, *pt.parts, pt.kind,
-                                     &noTraceSink());
-            if (cfg.journal)
-                cfg.journal->record(result.rows[i]);
+            runPoint(i, &noTraceSink());
         });
         if (cancelled.load(std::memory_order_relaxed))
             throw CancelledError("Study::run cancelled between design "
@@ -267,20 +271,7 @@ Study::run() const
                 throw CancelledError(
                     "Study::run cancelled between design points");
             }
-            const Point &pt = points[i];
-            const std::string &workload = matrices[pt.w].first;
-            if (cfg.journal) {
-                const StudyRow *done = cfg.journal->completed(
-                    workload, pt.kind, pt.parts->partitionSize);
-                if (done != nullptr) {
-                    result.rows[i] = *done;
-                    continue;
-                }
-            }
-            result.rows[i] = makeRow(workload, *pt.parts, pt.kind,
-                                     nullptr);
-            if (cfg.journal)
-                cfg.journal->record(result.rows[i]);
+            runPoint(i, nullptr);
         }
     }
 

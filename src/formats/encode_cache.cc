@@ -1,8 +1,5 @@
 #include "formats/encode_cache.hh"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "common/fnv.hh"
 #include "common/logging.hh"
 #include "formats/validate.hh"
@@ -58,9 +55,6 @@ EncodeCache::EncodeCache() : budget(256ULL << 20)
     shards.reserve(shardCount);
     for (std::size_t i = 0; i < shardCount; ++i)
         shards.push_back(std::make_unique<Shard>());
-    const char *env = std::getenv("COPERNICUS_ENCODE_CACHE");
-    if (env != nullptr && env[0] == '0')
-        on.store(false, std::memory_order_relaxed);
 }
 
 EncodeCache &
@@ -71,27 +65,9 @@ EncodeCache::global()
 }
 
 void
-EncodeCache::setEnabled(bool enabled)
-{
-    on.store(enabled, std::memory_order_relaxed);
-}
-
-bool
-EncodeCache::enabled() const
-{
-    return on.load(std::memory_order_relaxed);
-}
-
-void
 EncodeCache::setMaxBytes(std::uint64_t bytes)
 {
     budget.store(bytes, std::memory_order_relaxed);
-}
-
-std::uint64_t
-EncodeCache::maxBytes() const
-{
-    return budget.load(std::memory_order_relaxed);
 }
 
 void
@@ -109,9 +85,6 @@ std::shared_ptr<const EncodedTile>
 EncodeCache::encode(const FormatRegistry &registry, FormatKind kind,
                     const Tile &tile)
 {
-    if (!enabled())
-        return registry.codec(kind).encode(tile);
-
     const FormatParams &params = registry.params();
     const std::uint64_t hash = keyHash(kind, params, tile);
     Shard &shard = *shards[hash % shardCount];
@@ -205,31 +178,6 @@ encodeCached(const FormatRegistry &registry, FormatKind kind,
              const Tile &tile)
 {
     return EncodeCache::global().encode(registry, kind, tile);
-}
-
-EncodeCacheStats::EncodeCacheStats() : grp("encode_cache")
-{
-    const EncodeCache::Stats stats = EncodeCache::global().stats();
-    auto add = [this](const std::string &name, const char *desc,
-                      double value) {
-        auto stat = std::make_unique<ScalarStat>(grp, name, desc);
-        *stat = value;
-        owned.push_back(std::move(stat));
-    };
-    add("hits", "encode calls served from the cache",
-        static_cast<double>(stats.hits));
-    add("misses", "encode calls that ran the codec",
-        static_cast<double>(stats.misses));
-    add("hit_rate", "hits / (hits + misses)", stats.hitRate());
-    add("evictions", "whole-shard drops under the byte budget",
-        static_cast<double>(stats.evictions));
-    add("validation_bypasses",
-        "verified hits rejected by the grammar validator",
-        static_cast<double>(stats.validationBypasses));
-    add("entries", "encodings currently resident",
-        static_cast<double>(stats.entries));
-    add("bytes", "approximate resident bytes",
-        static_cast<double>(stats.bytes));
 }
 
 } // namespace copernicus

@@ -9,10 +9,11 @@
  * through firstCopies() (pipeline/stream_pipeline.hh). Measured on the
  * catalog sweep, almost every memo hit was such a within-call
  * duplicate, and the process-wide table cost more in hashing, locking,
- * key copies and resident memory than it saved. The cache remains for
- * callers that encode without pricing: the serve `validate_tile`
- * handler, the encode benches, and perfbench's replay.cc and
- * serve_mix.cc.
+ * key copies and resident memory than it saved. Nothing in the library,
+ * the serve daemon, the examples or the benches calls it either: its
+ * only callers are perfbench's replay.cc and serve_mix.cc and the
+ * tests. It goes once the benchmark measures the real Study path
+ * (ROADMAP item 1).
  *
  * Lookups hash the tile's canonical nonzero stream (FNV-1a over the
  * sorted (row, col, value) triplets — O(nnz), not O(p^2)) but hits are
@@ -29,8 +30,6 @@
  * bounds the cache; a shard that exceeds its share is dropped
  * wholesale (counted as evictions) — a deliberately simple policy that
  * keeps the hot path to one hash + one map probe.
- *
- * Disable with COPERNICUS_ENCODE_CACHE=0 or setEnabled(false).
  */
 
 #ifndef COPERNICUS_FORMATS_ENCODE_CACHE_HH
@@ -44,7 +43,6 @@
 
 #include "common/lock_order.hh"
 #include "common/mutex.hh"
-#include "common/stat_group.hh"
 #include "common/thread_annotations.hh"
 #include "formats/registry.hh"
 #include "matrix/tile.hh"
@@ -70,19 +68,14 @@ class EncodeCache
     encode(const FormatRegistry &registry, FormatKind kind,
            const Tile &tile);
 
-    /** Drop every entry (stats and configuration are kept). */
+    /** Drop every entry (stats and the byte budget are kept). */
     void clear();
-
-    /** Turn memoisation on/off; off = every call encodes fresh. */
-    void setEnabled(bool enabled);
-    bool enabled() const;
 
     /**
      * Cap the total byte budget (tiles + encodings, approximate).
      * Applied per shard; an overfull shard is dropped wholesale.
      */
     void setMaxBytes(std::uint64_t bytes);
-    std::uint64_t maxBytes() const;
 
     /** Monotonic counters since process start. */
     struct Stats
@@ -95,15 +88,6 @@ class EncodeCache
         std::uint64_t validationBypasses = 0;
         std::uint64_t entries = 0;   ///< currently resident
         std::uint64_t bytes = 0;     ///< approximate resident bytes
-        double
-        hitRate() const
-        {
-            const std::uint64_t total = hits + misses;
-            return total == 0
-                       ? 0.0
-                       : static_cast<double>(hits) /
-                             static_cast<double>(total);
-        }
     };
     Stats stats() const;
 
@@ -131,7 +115,6 @@ class EncodeCache
     static constexpr std::size_t shardCount = 16;
 
     std::vector<std::unique_ptr<Shard>> shards;
-    std::atomic<bool> on{true};
     std::atomic<std::uint64_t> budget;
     mutable std::atomic<std::uint64_t> hits{0};
     mutable std::atomic<std::uint64_t> misses{0};
@@ -139,29 +122,10 @@ class EncodeCache
     mutable std::atomic<std::uint64_t> validationBypasses{0};
 };
 
-/**
- * The global cache's encode(), falling back to a fresh codec encode
- * when the cache is disabled.
- */
+/** EncodeCache::global().encode(). */
 std::shared_ptr<const EncodedTile>
 encodeCached(const FormatRegistry &registry, FormatKind kind,
              const Tile &tile);
-
-/**
- * EncodeCache::global().stats() exported as a StatGroup named
- * "encode_cache", for --stats-json alongside the profile group.
- */
-class EncodeCacheStats
-{
-  public:
-    EncodeCacheStats();
-
-    const StatGroup &group() const { return grp; }
-
-  private:
-    StatGroup grp;
-    std::vector<std::unique_ptr<ScalarStat>> owned;
-};
 
 } // namespace copernicus
 

@@ -137,9 +137,9 @@ template <typename ConcreteTile>
 const ConcreteTile &
 encodedAs(const EncodedTile &encoded, FormatKind expected)
 {
-    panicIf(encoded.kind() != expected,
-            "encoded tile is " + std::string(formatName(encoded.kind())) +
-            ", expected " + std::string(formatName(expected)));
+    if (encoded.kind() != expected)
+        panic("encoded tile is " + std::string(formatName(encoded.kind())) +
+              ", expected " + std::string(formatName(expected)));
     return static_cast<const ConcreteTile &>(encoded);
 }
 

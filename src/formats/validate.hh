@@ -14,8 +14,9 @@
  * invariant id ("csr.offsets.monotone") that copernicus_lint and the
  * mutation tests key on.
  *
- * The EncodeCache's verified-hit path and timeTile() call the
- * validator when grammarValidationEnabled() — a process-wide
+ * timeTile() and the encode memo's verified-hit path
+ * (formats/encode_cache.hh) call the validator when
+ * grammarValidationEnabled() — a process-wide
  * toggle (COPERNICUS_VALIDATE=1 or setGrammarValidationEnabled) that
  * defaults off so the hot sweep paths pay nothing.
  */
@@ -67,7 +68,7 @@ struct GrammarReport
 GrammarReport validateEncodedTile(const EncodedTile &encoded);
 
 /**
- * Whether hot paths (EncodeCache verified hits, timeTile) should
+ * Whether hot paths (timeTile, encode-memo verified hits) should
  * validate. Defaults to the COPERNICUS_VALIDATE environment toggle
  * (unset/0 = off); setGrammarValidationEnabled overrides it.
  */

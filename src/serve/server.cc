@@ -23,7 +23,6 @@
 #include "common/trace_context.hh"
 #include "core/scheduler.hh"
 #include "core/study.hh"
-#include "formats/encode_cache.hh"
 #include "formats/validate.hh"
 #include "matrix/stats.hh"
 #include "serve/protocol_doc.hh"
@@ -107,12 +106,6 @@ Server::Server(ServeOptions options) : opts(std::move(options))
         s.errors = std::make_unique<ScalarStat>(
             grp, prefix + ".errors",
             "admitted requests answered with an error");
-        s.cacheHits = std::make_unique<ScalarStat>(
-            grp, prefix + ".cache_hits",
-            "encode-cache hits attributed to this endpoint");
-        s.cacheMisses = std::make_unique<ScalarStat>(
-            grp, prefix + ".cache_misses",
-            "encode-cache misses attributed to this endpoint");
         s.latencyUs = std::make_unique<DistributionStat>(
             grp, prefix + ".latency_us",
             "admitted-request latency (microseconds)", 0, 100000, 1000);
@@ -820,7 +813,7 @@ Server::handlePayload(const std::shared_ptr<Conn> &conn,
       case Admit::Full:
         *statsFor(request.endpoint).rejected += 1;
         recordWideEvent(request, serve_error::queueFull, binary,
-                        receiptUs, receiptUs, nowUs(), 0, 0, 0,
+                        receiptUs, receiptUs, nowUs(), 0,
                         RequestObs{});
         respond(conn, binary, wireStreamId,
                 errorResponse(request.id,
@@ -834,7 +827,7 @@ Server::handlePayload(const std::shared_ptr<Conn> &conn,
       case Admit::Draining:
         *statsFor(request.endpoint).rejected += 1;
         recordWideEvent(request, serve_error::shuttingDown, binary,
-                        receiptUs, receiptUs, nowUs(), 0, 0, 0,
+                        receiptUs, receiptUs, nowUs(), 0,
                         RequestObs{});
         respond(conn, binary, wireStreamId,
                 errorResponse(request.id,
@@ -908,7 +901,6 @@ Server::runRequest(std::shared_ptr<Conn> conn, ServeRequest request,
 {
     EndpointStats &stats = statsFor(request.endpoint);
     const std::uint64_t startUs = nowUs();
-    const EncodeCache::Stats cacheBefore = EncodeCache::global().stats();
 
     const bool observe = requestSpanId != 0;
     if (observe) {
@@ -1000,16 +992,6 @@ Server::runRequest(std::shared_ptr<Conn> conn, ServeRequest request,
         }
     }
 
-    // Attribute cache activity to the endpoint. Deltas from a shared
-    // cache are approximate when requests overlap, but per-endpoint
-    // hit *rates* remain meaningful because the mix is attributed
-    // proportionally over many requests.
-    const EncodeCache::Stats cacheAfter = EncodeCache::global().stats();
-    const auto cacheHits = cacheAfter.hits - cacheBefore.hits;
-    const auto cacheMisses = cacheAfter.misses - cacheBefore.misses;
-    *stats.cacheHits += static_cast<double>(cacheHits);
-    *stats.cacheMisses += static_cast<double>(cacheMisses);
-
     const std::uint64_t endUs = nowUs();
     stats.latencyUs->sample(static_cast<double>(endUs - startUs));
     {
@@ -1031,8 +1013,7 @@ Server::runRequest(std::shared_ptr<Conn> conn, ServeRequest request,
              endUs});
     }
     recordWideEvent(request, outcome, stream.binary, receiptUs,
-                    startUs, endUs, timeoutMs, cacheHits, cacheMisses,
-                    obs);
+                    startUs, endUs, timeoutMs, obs);
 
     // Retire the stream id before the response leaves, so a client
     // that reuses an id immediately after reading its response can
@@ -1050,8 +1031,6 @@ Server::recordWideEvent(const ServeRequest &request,
                         std::string_view outcome, bool binary,
                         std::uint64_t receiptUs, std::uint64_t startUs,
                         std::uint64_t endUs, double timeoutMs,
-                        std::uint64_t cacheHits,
-                        std::uint64_t cacheMisses,
                         const RequestObs &obs)
 {
     if (!opts.observability)
@@ -1067,12 +1046,48 @@ Server::recordWideEvent(const ServeRequest &request,
     event.deadlineBudgetMs = timeoutMs;
     event.deadlineUsedMs =
         static_cast<double>(endUs - startUs) / 1000.0;
-    event.cacheHits = cacheHits;
-    event.cacheMisses = cacheMisses;
     event.formatsSwept = obs.formatsSwept;
     event.memoHit = obs.memoHit;
     event.protocol = binary ? "binary" : "ndjson";
     FlightRecorder::global().record(buildWideEventJson(event));
+}
+
+TripletMatrix
+Server::requestMatrix(const ServeRequest &request) const
+{
+    const JsonValue *spec = request.params.find("matrix");
+    fatalIf(spec == nullptr, std::string(endpointName(request.endpoint)) +
+                                 ": params.matrix is required");
+    return matrixFromSpec(*spec, opts.maxMatrixDim);
+}
+
+Index
+Server::requestPartitionSize(const ServeRequest &request)
+{
+    const double p = request.params.numberOr("partition_size", 16);
+    fatalIf(p < 1 || p > 4096,
+            std::string(endpointName(request.endpoint)) +
+                ": partition_size must be in [1, 4096]");
+    return static_cast<Index>(p);
+}
+
+std::string
+Server::memoized(const TripletMatrix &matrix, std::uint64_t configHash,
+                 RequestObs &obs,
+                 const std::function<std::string()> &compute)
+{
+    if (!memo->enabled())
+        return compute();
+    const MemoKey key{contentHashOf(matrix), configHash};
+    std::string payload;
+    if (memo->lookup(key, payload)) {
+        obs.memoHit = true;
+        const ScopedSpan span("serve.memo", "serve");
+        return payload;
+    }
+    payload = compute();
+    memo->insert(key, payload);
+    return payload;
 }
 
 std::string
@@ -1114,10 +1129,7 @@ Server::dispatch(const ServeRequest &request,
       }
 
       case Endpoint::Advise: {
-        const JsonValue *spec = params.find("matrix");
-        fatalIf(spec == nullptr, "advise: params.matrix is required");
-        const TripletMatrix matrix =
-            matrixFromSpec(*spec, opts.maxMatrixDim);
+        const TripletMatrix matrix = requestMatrix(request);
         checkAbort();
         const AdvisorGoal goal =
             goalFromName(params.stringOr("goal", "balanced"));
@@ -1125,56 +1137,37 @@ Server::dispatch(const ServeRequest &request,
 
         // Advice is a pure function of (matrix content, goal,
         // tailored-engine flag); the memo key binds exactly those.
-        // Params are validated *before* the lookup so a hit and a miss
-        // reject the same malformed requests.
-        MemoKey key;
-        std::string cached;
-        if (memo->enabled()) {
-            key.contentHash = contentHashOf(matrix);
-            std::uint64_t h = fnv1a("advise", 6);
-            const std::string_view goalStr = goalName(goal);
-            h = fnv1a(goalStr.data(), goalStr.size(), h);
-            h = fnv1aValue(tailored, h);
-            key.configHash = h;
-            if (memo->lookup(key, cached)) {
-                obs.memoHit = true;
-                const ScopedSpan span("serve.memo", "serve");
-                return cached;
+        std::uint64_t config = fnv1a("advise", 6);
+        const std::string_view goalStr = goalName(goal);
+        config = fnv1a(goalStr.data(), goalStr.size(), config);
+        config = fnv1aValue(tailored, config);
+        return memoized(matrix, config, obs, [&] {
+            const MatrixStats mstats = computeStats(matrix);
+            const Recommendation rec = advise(mstats, goal, tailored);
+            std::ostringstream out;
+            out << "{\"format\": " << jsonStr(formatName(rec.format))
+                << ", \"partition_size\": " << rec.partitionSize
+                << ", \"requires_tailored_engine\": "
+                << (rec.requiresTailoredEngine ? "true" : "false")
+                << ", \"goal\": " << jsonStr(goalName(goal))
+                << ", \"alternatives\": [";
+            for (std::size_t i = 0; i < rec.alternatives.size(); ++i) {
+                if (i > 0)
+                    out << ", ";
+                out << jsonStr(formatName(rec.alternatives[i]));
             }
-        }
-
-        const MatrixStats mstats = computeStats(matrix);
-        const Recommendation rec = advise(mstats, goal, tailored);
-        std::ostringstream out;
-        out << "{\"format\": " << jsonStr(formatName(rec.format))
-            << ", \"partition_size\": " << rec.partitionSize
-            << ", \"requires_tailored_engine\": "
-            << (rec.requiresTailoredEngine ? "true" : "false")
-            << ", \"goal\": " << jsonStr(goalName(goal))
-            << ", \"alternatives\": [";
-        for (std::size_t i = 0; i < rec.alternatives.size(); ++i) {
-            if (i > 0)
-                out << ", ";
-            out << jsonStr(formatName(rec.alternatives[i]));
-        }
-        out << "], \"rationale\": " << jsonStr(rec.rationale)
-            << ", \"matrix\": {\"rows\": " << mstats.rows
-            << ", \"cols\": " << mstats.cols
-            << ", \"nnz\": " << mstats.nnz
-            << ", \"density\": " << jsonNum(mstats.density)
-            << ", \"bandwidth\": " << mstats.bandwidth << "}}";
-        const std::string payload = out.str();
-        if (memo->enabled())
-            memo->insert(key, payload);
-        return payload;
+            out << "], \"rationale\": " << jsonStr(rec.rationale)
+                << ", \"matrix\": {\"rows\": " << mstats.rows
+                << ", \"cols\": " << mstats.cols
+                << ", \"nnz\": " << mstats.nnz
+                << ", \"density\": " << jsonNum(mstats.density)
+                << ", \"bandwidth\": " << mstats.bandwidth << "}}";
+            return out.str();
+        });
       }
 
       case Endpoint::RunStudy: {
-        const JsonValue *spec = params.find("matrix");
-        fatalIf(spec == nullptr,
-                "run_study: params.matrix is required");
-        TripletMatrix matrix =
-            matrixFromSpec(*spec, opts.maxMatrixDim);
+        TripletMatrix matrix = requestMatrix(request);
         StudyConfig cfg;
         cfg.partitionSizes = partitionSizesFromParam(
             params.find("partition_sizes"), cfg.partitionSizes);
@@ -1197,9 +1190,10 @@ Server::dispatch(const ServeRequest &request,
             JournalIdentity identity;
             identity.matrixHash =
                 workloadSetHash({{"request", contentHashOf(matrix)}});
-            if (spec->stringOr("kind", "") == "cbm")
+            const JsonValue &spec = *params.find("matrix");
+            if (spec.stringOr("kind", "") == "cbm")
                 identity.matrixEpoch =
-                    CbmReader(spec->stringOr("path", "")).epoch();
+                    CbmReader(spec.stringOr("path", "")).epoch();
             identity.configHash =
                 sweepConfigHash(cfg.partitionSizes, cfg.formats);
             cfg.journal =
@@ -1254,14 +1248,8 @@ Server::dispatch(const ServeRequest &request,
       }
 
       case Endpoint::PlanFormats: {
-        const JsonValue *spec = params.find("matrix");
-        fatalIf(spec == nullptr,
-                "plan_formats: params.matrix is required");
-        const TripletMatrix matrix =
-            matrixFromSpec(*spec, opts.maxMatrixDim);
-        const double p = params.numberOr("partition_size", 16);
-        fatalIf(p < 1 || p > 4096,
-                "plan_formats: partition_size must be in [1, 4096]");
+        const TripletMatrix matrix = requestMatrix(request);
+        const Index p = requestPartitionSize(request);
         const std::vector<FormatKind> candidates =
             formatsFromParam(params.find("formats"), paperFormats());
         obs.formatsSwept = candidates.size();
@@ -1282,73 +1270,51 @@ Server::dispatch(const ServeRequest &request,
         // Like advise: the plan depends only on (matrix content,
         // partition size, candidate set, objective), all validated
         // above, so key on exactly those.
-        MemoKey key;
-        std::string cached;
-        if (memo->enabled()) {
-            key.contentHash = contentHashOf(matrix);
-            std::uint64_t h = fnv1a("plan_formats", 12);
-            h = fnv1aValue(static_cast<std::uint64_t>(
-                               static_cast<Index>(p)),
-                           h);
-            for (FormatKind kind : candidates) {
-                const std::string_view name = formatName(kind);
-                h = fnv1a(name.data(), name.size(), h);
-                h = fnv1a("|", 1, h);
-            }
-            h = fnv1a(objectiveName.data(), objectiveName.size(), h);
-            key.configHash = h;
-            if (memo->lookup(key, cached)) {
-                obs.memoHit = true;
-                const ScopedSpan span("serve.memo", "serve");
-                return cached;
-            }
+        std::uint64_t config = fnv1a("plan_formats", 12);
+        config = fnv1aValue(static_cast<std::uint64_t>(p), config);
+        for (FormatKind kind : candidates) {
+            const std::string_view name = formatName(kind);
+            config = fnv1a(name.data(), name.size(), config);
+            config = fnv1a("|", 1, config);
         }
-
-        checkAbort();
-        const Partitioning parts =
-            partition(matrix, static_cast<Index>(p));
-        checkAbort();
-        const FormatPlan plan =
-            planFormats(parts, candidates, objective, HlsConfig(),
-                        defaultRegistry(), 1);
-        std::ostringstream out;
-        out << "{\"tiles\": " << plan.perTile.size()
-            << ", \"histogram\": {";
-        bool first = true;
-        for (const auto &[kind, tiles] : plan.histogram) {
-            if (!first)
-                out << ", ";
-            first = false;
-            out << jsonStr(formatName(kind)) << ": " << tiles;
-        }
-        out << "}}";
-        const std::string payload = out.str();
-        if (memo->enabled())
-            memo->insert(key, payload);
-        return payload;
+        config = fnv1a(objectiveName.data(), objectiveName.size(),
+                       config);
+        return memoized(matrix, config, obs, [&] {
+            checkAbort();
+            const Partitioning parts = partition(matrix, p);
+            checkAbort();
+            const FormatPlan plan =
+                planFormats(parts, candidates, objective, HlsConfig(),
+                            defaultRegistry(), 1);
+            std::ostringstream out;
+            out << "{\"tiles\": " << plan.perTile.size()
+                << ", \"histogram\": {";
+            bool first = true;
+            for (const auto &[kind, tiles] : plan.histogram) {
+                if (!first)
+                    out << ", ";
+                first = false;
+                out << jsonStr(formatName(kind)) << ": " << tiles;
+            }
+            out << "}}";
+            return out.str();
+        });
       }
 
       case Endpoint::ValidateTile: {
-        const JsonValue *spec = params.find("matrix");
-        fatalIf(spec == nullptr,
-                "validate_tile: params.matrix is required");
-        const TripletMatrix matrix =
-            matrixFromSpec(*spec, opts.maxMatrixDim);
-        const double p = params.numberOr("partition_size", 16);
-        fatalIf(p < 1 || p > 4096,
-                "validate_tile: partition_size must be in [1, 4096]");
+        const TripletMatrix matrix = requestMatrix(request);
+        const Index p = requestPartitionSize(request);
         const std::vector<FormatKind> kinds =
             formatsFromParam(params.find("formats"), paperFormats());
         obs.formatsSwept = kinds.size();
-        const Partitioning parts =
-            partition(matrix, static_cast<Index>(p));
+        const Partitioning parts = partition(matrix, p);
         std::vector<std::string> violations;
         std::size_t checked = 0;
         for (const Tile &tile : parts.tiles) {
             checkAbort();
             for (FormatKind kind : kinds) {
                 const auto encoded =
-                    encodeCached(defaultRegistry(), kind, tile);
+                    defaultRegistry().codec(kind).encode(tile);
                 const GrammarReport report =
                     validateEncodedTile(*encoded);
                 ++checked;
@@ -1441,13 +1407,11 @@ Server::dispatch(const ServeRequest &request,
 std::string
 Server::statsJson() const
 {
-    // The pool and cache exporters snapshot their counters when
-    // built, so build them per call to report live values.
+    // The pool exporter snapshots its counters when built, so build
+    // it per call to report live values.
     const ThreadPoolStats poolStats;
-    const EncodeCacheStats cacheStats;
     std::ostringstream out;
-    dumpGroupsJson(out,
-                   {&grp, &poolStats.group(), &cacheStats.group()});
+    dumpGroupsJson(out, {&grp, &poolStats.group()});
     std::string json = out.str();
     // dumpGroupsJson ends its document with '\n'; embedded in a
     // response payload that newline would split an NDJSON line, so
@@ -1528,12 +1492,6 @@ Server::metricsText() const
     writer.counter("copernicus_serve_requests_errored_total",
                    "Admitted requests answered with an error.",
                    perEndpoint(&EndpointStats::errors));
-    writer.counter("copernicus_serve_cache_hits_total",
-                   "Encode-cache hits attributed to the endpoint.",
-                   perEndpoint(&EndpointStats::cacheHits));
-    writer.counter("copernicus_serve_cache_misses_total",
-                   "Encode-cache misses attributed to the endpoint.",
-                   perEndpoint(&EndpointStats::cacheMisses));
 
     writer.counter(
         "copernicus_serve_bad_lines_total",
@@ -1605,17 +1563,6 @@ Server::metricsText() const
     writer.counter("copernicus_thread_pool_steals_total",
                    "Tasks taken from another lane's deque.",
                    {{{}, static_cast<double>(poolCounters.steals)}});
-
-    const EncodeCache::Stats cache = EncodeCache::global().stats();
-    writer.counter("copernicus_encode_cache_hits_total",
-                   "Encode-cache hits, process-wide.",
-                   {{{}, static_cast<double>(cache.hits)}});
-    writer.counter("copernicus_encode_cache_misses_total",
-                   "Encode-cache misses, process-wide.",
-                   {{{}, static_cast<double>(cache.misses)}});
-    writer.gauge("copernicus_encode_cache_entries",
-                 "Entries resident in the encode cache.",
-                 {{{}, static_cast<double>(cache.entries)}});
 
     const FlightRecorder &recorder = FlightRecorder::global();
     writer.counter(

@@ -204,7 +204,7 @@ class Server
     bool accepting() const;
 
     /**
-     * The serve/thread_pool/encode_cache groups plus live load state
+     * The serve/thread_pool groups plus live load state
      * (`"queue_depth"`, an `"inflight"` array with per-request ages,
      * a `"memo"` object with the result-memo counters) as one JSON
      * doc — the stats endpoint's payload, which is also what
@@ -214,7 +214,7 @@ class Server
 
     /**
      * Prometheus text exposition of the serve counters, latency
-     * histograms, pool, cache and memo stats. Built entirely from
+     * histograms, pool and memo stats. Built entirely from
      * atomic reads and DistributionStat snapshots — a scrape never
      * holds a lock a request thread contends beyond one histogram
      * copy.
@@ -234,8 +234,6 @@ class Server
         std::unique_ptr<ScalarStat> rejected;
         std::unique_ptr<ScalarStat> completed;
         std::unique_ptr<ScalarStat> errors;
-        std::unique_ptr<ScalarStat> cacheHits;
-        std::unique_ptr<ScalarStat> cacheMisses;
         std::unique_ptr<DistributionStat> latencyUs;
     };
 
@@ -359,13 +357,32 @@ class Server
                          const std::function<bool()> &abortRequested,
                          RequestObs &obs);
 
+    // --- the request stage shared by the matrix endpoints ---
+
+    /**
+     * Materialize params.matrix (matrixFromSpec under the server's
+     * dimension cap); "<op>: params.matrix is required" when absent.
+     */
+    TripletMatrix requestMatrix(const ServeRequest &request) const;
+
+    /** params.partition_size (default 16), checked to [1, 4096]. */
+    static Index requestPartitionSize(const ServeRequest &request);
+
+    /**
+     * The payload memoized under (@p matrix content, @p configHash):
+     * a result-memo hit, else compute()'s payload, inserted. The
+     * caller validates every param before calling, so a hit and a
+     * miss reject the same malformed requests.
+     */
+    std::string memoized(const TripletMatrix &matrix,
+                         std::uint64_t configHash, RequestObs &obs,
+                         const std::function<std::string()> &compute);
+
     /** Record one wide event (no-op when observability is off). */
     void recordWideEvent(const ServeRequest &request,
                          std::string_view outcome, bool binary,
                          std::uint64_t receiptUs, std::uint64_t startUs,
                          std::uint64_t endUs, double timeoutMs,
-                         std::uint64_t cacheHits,
-                         std::uint64_t cacheMisses,
                          const RequestObs &obs);
 
     Admit tryAdmit();

@@ -2,8 +2,8 @@
  * @file
  * EncodeCache contract tests: miss-then-hit memoisation, correctness
  * of cached encodings (round-trip), key separation across partition
- * sizes and codec hyperparameters, the disabled bypass, and eviction
- * under a tiny byte budget.
+ * sizes and codec hyperparameters, and eviction under a tiny byte
+ * budget.
  */
 
 #include <gtest/gtest.h>
@@ -34,17 +34,11 @@ makeTile(Index p, std::uint64_t seed)
 class EncodeCacheTest : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        cache().setEnabled(true);
-        cache().clear();
-    }
+    void SetUp() override { cache().clear(); }
 
     void
     TearDown() override
     {
-        cache().setEnabled(true);
         cache().setMaxBytes(std::uint64_t(256) << 20);
         cache().clear();
     }
@@ -128,26 +122,6 @@ TEST_F(EncodeCacheTest, CachedEncodingsDecodeBackToTheTile)
         EXPECT_EQ(defaultRegistry().codec(kind).decode(*cached), tile)
             << formatName(kind);
     }
-}
-
-TEST_F(EncodeCacheTest, DisabledBypassesTheTableEntirely)
-{
-    cache().setEnabled(false);
-    const Tile tile = makeTile(16, 5);
-    const auto before = cache().stats();
-
-    const auto first =
-        cache().encode(defaultRegistry(), FormatKind::CSR, tile);
-    const auto second =
-        cache().encode(defaultRegistry(), FormatKind::CSR, tile);
-
-    const auto after = cache().stats();
-    EXPECT_EQ(after.hits, before.hits);
-    EXPECT_EQ(after.misses, before.misses);
-    EXPECT_EQ(after.entries, before.entries);
-    EXPECT_NE(first.get(), second.get()); // fresh encode both times
-    EXPECT_EQ(defaultRegistry().codec(FormatKind::CSR).decode(*second),
-              tile);
 }
 
 TEST_F(EncodeCacheTest, TinyBudgetTriggersEvictionAndStaysCorrect)

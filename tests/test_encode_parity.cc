@@ -8,8 +8,7 @@
  * `StudyResult::writeCsv` against golden CSVs generated from the seed
  * dense-scan implementation (commit 1e2eed7), across random matrices
  * spanning the paper's density range, band matrices, catalog
- * surrogates, every format, p in {8, 16, 32} and jobs in {1, 4}, with
- * the encode cache both on and off.
+ * surrogates, every format, p in {8, 16, 32} and jobs in {1, 4}.
  *
  * A second golden, study_parity_compressed.csv, runs the same study
  * with second-stage compression on, pinning the stored bytes,
@@ -30,7 +29,6 @@
 
 #include "common/rng.hh"
 #include "core/study.hh"
-#include "formats/encode_cache.hh"
 #include "workloads/generators.hh"
 #include "workloads/suite_catalog.hh"
 
@@ -147,16 +145,6 @@ TEST(EncodeParity, StudyCsvMatchesSeedGoldenParallel)
     if (regenRequested())
         GTEST_SKIP() << "regen mode";
     expectCsvEqual(runParityCsv(4), loadGolden());
-}
-
-TEST(EncodeParity, StudyCsvMatchesSeedGoldenCacheDisabled)
-{
-    if (regenRequested())
-        GTEST_SKIP() << "regen mode";
-    EncodeCache::global().setEnabled(false);
-    const std::string csv = runParityCsv(1);
-    EncodeCache::global().setEnabled(true);
-    expectCsvEqual(csv, loadGolden());
 }
 
 TEST(EncodeParity, CompressedStudyCsvMatchesGolden)

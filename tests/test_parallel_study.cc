@@ -1,8 +1,7 @@
 /**
  * @file
  * Determinism contract of the parallel sweep engine: Study::run() and
- * planFormats() must produce bit-identical results at any jobs setting
- * and with the encode cache on or off.
+ * planFormats() must produce bit-identical results at any jobs setting.
  */
 
 #include <vector>
@@ -13,7 +12,6 @@
 #include "core/scheduler.hh"
 #include "cost_configs.hh"
 #include "core/study.hh"
-#include "formats/encode_cache.hh"
 #include "matrix/partitioner.hh"
 #include "workloads/generators.hh"
 
@@ -73,27 +71,9 @@ runStudy(unsigned jobs, bool secondStageCompression = false)
     return study.run();
 }
 
-class ParallelStudyTest : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        EncodeCache::global().setEnabled(true);
-        EncodeCache::global().clear();
-    }
-
-    void
-    TearDown() override
-    {
-        EncodeCache::global().setEnabled(true);
-        EncodeCache::global().clear();
-    }
-};
-
 } // namespace
 
-TEST_F(ParallelStudyTest, RunIsBitIdenticalAcrossJobsSettings)
+TEST(ParallelStudyTest, RunIsBitIdenticalAcrossJobsSettings)
 {
     const StudyResult serial = runStudy(1);
     const StudyResult parallel = runStudy(4);
@@ -106,16 +86,7 @@ TEST_F(ParallelStudyTest, RunIsBitIdenticalAcrossJobsSettings)
     expectRowsIdentical(serialCompressed.rows, parallelCompressed.rows);
 }
 
-TEST_F(ParallelStudyTest, RunIsBitIdenticalWithCacheOnAndOff)
-{
-    const StudyResult cached = runStudy(1);
-    EncodeCache::global().setEnabled(false);
-    EncodeCache::global().clear();
-    const StudyResult uncached = runStudy(1);
-    expectRowsIdentical(cached.rows, uncached.rows);
-}
-
-TEST_F(ParallelStudyTest, PlanFormatsIsBitIdenticalAcrossJobsSettings)
+TEST(ParallelStudyTest, PlanFormatsIsBitIdenticalAcrossJobsSettings)
 {
     Rng rng(21);
     const std::vector<std::pair<const char *, Partitioning>> inputs = {

@@ -32,6 +32,7 @@
 #include "common/trace_context.hh"
 #include "core/advisor.hh"
 #include "core/study.hh"
+#include "formats/encode_cache.hh"
 #include "matrix/stats.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
@@ -134,11 +135,33 @@ TEST_F(ServeTest, UnknownOpAndBadParamsAreBadRequests)
     EXPECT_EQ(response.stringOr("error", ""), "bad_request");
 
     // A known op with missing params is rejected after admission,
-    // with the op echoed back.
-    const JsonValue advise = c.call("advise");
-    EXPECT_FALSE(advise.boolOr("ok", true));
-    EXPECT_EQ(advise.stringOr("error", ""), "bad_request");
-    EXPECT_EQ(advise.stringOr("op", ""), "advise");
+    // with the op echoed back: every matrix endpoint goes through the
+    // same request stage and names itself in the message.
+    for (const std::string op :
+         {"advise", "plan_formats", "run_study", "validate_tile"}) {
+        SCOPED_TRACE(op);
+        const JsonValue response = c.call(op);
+        EXPECT_FALSE(response.boolOr("ok", true));
+        EXPECT_EQ(response.stringOr("error", ""), "bad_request");
+        EXPECT_EQ(response.stringOr("op", ""), op);
+        EXPECT_EQ(response.stringOr("message", ""),
+                  op + ": params.matrix is required");
+    }
+
+    // Out-of-range partition sizes are refused the same way.
+    for (const std::string op : {"plan_formats", "validate_tile"}) {
+        for (const char *p : {"0", "4097"}) {
+            SCOPED_TRACE(op + " partition_size " + p);
+            const JsonValue response = c.call(
+                op, "{\"matrix\": {\"kind\": \"band\", \"n\": 32, "
+                    "\"width\": 2}, \"partition_size\": " +
+                        std::string(p) + "}");
+            EXPECT_FALSE(response.boolOr("ok", true));
+            EXPECT_EQ(response.stringOr("error", ""), "bad_request");
+            EXPECT_EQ(response.stringOr("message", ""),
+                      op + ": partition_size must be in [1, 4096]");
+        }
+    }
 }
 
 /**
@@ -389,8 +412,7 @@ TEST_F(ServeTest, StatsReportsLivePoolAndCacheCounters)
     // same lane is ordered after the validate task's count.
     startServer(/*queueCapacity=*/8, /*workers=*/1);
     ServeClient c = client();
-    // A fresh matrix: validating it encodes its tiles through the
-    // encode cache on a pool lane.
+    // Validating a matrix runs on a pool lane.
     const JsonValue validate = c.call(
         "validate_tile",
         "{\"matrix\": {\"kind\": \"band\", \"n\": 96, \"width\": 6, "
@@ -413,7 +435,6 @@ TEST_F(ServeTest, StatsReportsLivePoolAndCacheCounters)
                 stat.numberOr("value", -1);
     }
     // Live counters, not the values at server construction.
-    EXPECT_GT(values["encode_cache.misses"], 0);
     EXPECT_GT(values["thread_pool.tasks_run"], 0);
 }
 
@@ -434,6 +455,35 @@ TEST_F(ServeTest, ValidateTileReportsCleanEncodings)
     const JsonValue *violations = result->find("violations");
     ASSERT_NE(violations, nullptr);
     EXPECT_TRUE(violations->elements.empty());
+}
+
+TEST_F(ServeTest, ValidateTileEncodesFreshOutsideTheEncodeMemo)
+{
+    // validate_tile checks what the codecs produce now: it encodes
+    // every tile fresh, so a repeat gives the same answer and the
+    // process-wide encode memo sees no traffic from either call.
+    startServer();
+    ServeClient c = client();
+    const std::string params =
+        "{\"matrix\": {\"kind\": \"band\", \"n\": 96, \"width\": 6, "
+        "\"seed\": 43}, \"partition_size\": 32}";
+    // The result object closes the response line, after the id and
+    // trace id that differ between the two calls.
+    const auto resultBytes = [&c, &params] {
+        const std::string raw = c.requestLine(
+            "{\"op\": \"validate_tile\", \"params\": " + params + "}");
+        const std::size_t at = raw.find("\"result\": {\"tiles\"");
+        EXPECT_NE(at, std::string::npos) << raw;
+        return at == std::string::npos ? raw : raw.substr(at);
+    };
+    const EncodeCache::Stats before = EncodeCache::global().stats();
+    const std::string first = resultBytes();
+    const std::string second = resultBytes();
+    const EncodeCache::Stats after = EncodeCache::global().stats();
+    EXPECT_EQ(first, second);
+    EXPECT_NE(first.find("\"ok\": true"), std::string::npos) << first;
+    EXPECT_EQ(after.hits, before.hits);
+    EXPECT_EQ(after.misses, before.misses);
 }
 
 TEST_F(ServeTest, BadLineCountersClassifyFrameErrors)

@@ -12,8 +12,8 @@
  * key copies and resident memory than it saved. Nothing in the library,
  * the serve daemon, the examples or the benches calls it either: its
  * only callers are perfbench's replay.cc and serve_mix.cc and the
- * tests. It goes once the benchmark measures the real Study path
- * (ROADMAP item 1).
+ * tests. It goes once the benchmark stops replaying the per-tile loop
+ * through it and measures the real Study path instead.
  *
  * Lookups hash the tile's canonical nonzero stream (FNV-1a over the
  * sorted (row, col, value) triplets — O(nnz), not O(p^2)) but hits are

@@ -15,7 +15,8 @@
  *                      rejections (default 64)
  *   --jobs N           handler pool lanes (default: hardware)
  *   --timeout-ms MS    default per-request deadline for requests that
- *                      do not carry timeout_ms (default: none)
+ *                      do not carry timeout_ms, at most 86400000
+ *                      (default: none)
  *   --max-dim N        per-request matrix dimension cap (default 4096)
  *   --memo-bytes N     byte budget of the advise/plan_formats result
  *                      memo (default 8 MiB; 0 disables memoization)
@@ -23,7 +24,8 @@
  *                      connections (default 16 MiB)
  *   --stats-json PATH  write the serve/thread_pool stat groups (and
  *                      the live load state) as JSON at drain
- *   --trace PATH       write the request-lane Chrome trace at drain
+ *   --trace PATH       write the span tree as a Chrome trace at drain
+ *                      (refused with --no-observe, which records none)
  *   --no-lint          skip the startup registry contract check
  *   --lint-full        extend the startup check with the grammar and
  *                      model-vs-walker oracle passes (slower)
@@ -143,9 +145,8 @@ parseArgs(int argc, char **argv)
             fatalIf(n < 1, "--jobs wants a positive integer");
             opts.workers = static_cast<unsigned>(n);
         } else if (arg == "--timeout-ms") {
-            const long ms = numberArg(argc, argv, i, "--timeout-ms");
-            fatalIf(ms < 0, "--timeout-ms wants a non-negative value");
-            opts.defaultTimeoutMs = static_cast<double>(ms);
+            opts.defaultTimeoutMs = static_cast<double>(
+                numberArg(argc, argv, i, "--timeout-ms"));
         } else if (arg == "--max-dim") {
             const long n = numberArg(argc, argv, i, "--max-dim");
             fatalIf(n < 1, "--max-dim wants a positive dimension");

@@ -1,6 +1,7 @@
 #include "serve/protocol.hh"
 
 #include <cmath>
+#include <iomanip>
 #include <sstream>
 
 #include "common/rng.hh"
@@ -10,6 +11,45 @@
 #include "workloads/generators.hh"
 
 namespace copernicus {
+
+namespace {
+
+/** 2^53, the largest integer a JSON number (a double) holds exactly. */
+constexpr std::int64_t maxExactInteger = std::int64_t{1} << 53;
+
+/**
+ * The one value check behind the readers below and the partition_sizes
+ * elements: @p value (nullptr when absent) if it has @p kind and, if a
+ * number, lies in [lo, hi] ((lo, hi] when @p openLow) and is integral
+ * when @p integer; else FatalError "<where>: <key> must be <expected>".
+ */
+const JsonValue *
+checkedValue(const JsonValue *value, std::string_view where,
+             std::string_view key, JsonValue::Kind kind, double lo = 0,
+             double hi = 0, bool integer = false, bool openLow = false)
+{
+    if (value == nullptr)
+        return nullptr;
+    const double x = value->number;
+    if (value->kind == kind &&
+        (kind != JsonValue::Kind::Number ||
+         ((openLow ? x > lo : x >= lo) && x <= hi &&
+          (!integer || std::trunc(x) == x))))
+        return value;
+    std::ostringstream message;
+    message << std::setprecision(17) << where
+            << (where.empty() ? "" : ": ") << key << " must be ";
+    if (kind == JsonValue::Kind::String)
+        message << "a string";
+    else if (kind == JsonValue::Kind::Bool)
+        message << "true or false";
+    else
+        message << (integer ? "an integer in " : "a number in ")
+                << (openLow ? '(' : '[') << lo << ", " << hi << ']';
+    fatal(message.str());
+}
+
+} // namespace
 
 const std::vector<Endpoint> &
 allEndpoints()
@@ -97,13 +137,22 @@ parseRequest(const std::string &line, ServeRequest &out,
         why = RequestParseError::UnknownOp;
         return false;
     }
-    const double id = root.numberOr("id", 0);
-    out.id = id > 0 && std::isfinite(id)
-                 ? static_cast<std::uint64_t>(id)
-                 : 0;
-    out.timeoutMs = root.numberOr("timeout_ms", 0);
-    if (out.timeoutMs < 0)
-        out.timeoutMs = 0;
+    // The id is best-effort like the trace below: anything but an
+    // exact non-negative integer reads as 0, never a parse failure.
+    const JsonValue *id = root.find("id");
+    const bool exactId =
+        id != nullptr && id->isNumber() && id->number >= 0 &&
+        id->number <= static_cast<double>(maxExactInteger) &&
+        std::trunc(id->number) == id->number;
+    out.id = exactId ? static_cast<std::uint64_t>(id->number) : 0;
+    try {
+        out.timeoutMs = realParam(root, "request", "timeout_ms", 0, 0,
+                                  maxRequestTimeoutMs);
+    } catch (const FatalError &e) {
+        error = e.what();
+        why = RequestParseError::BadParams;
+        return false;
+    }
     const JsonValue *params = root.find("params");
     if (params != nullptr && !params->isObject()) {
         error = "\"params\" must be an object";
@@ -126,14 +175,6 @@ parseRequest(const std::string &line, ServeRequest &out,
             out.trace = TraceContext{};
     }
     return true;
-}
-
-bool
-parseRequest(const std::string &line, ServeRequest &out,
-             std::string &error)
-{
-    RequestParseError why;
-    return parseRequest(line, out, error, why);
 }
 
 std::string
@@ -170,86 +211,105 @@ errorResponse(std::uint64_t id, std::string_view op,
     return out.str();
 }
 
-namespace {
-
-Index
-indexField(const JsonValue &spec, std::string_view key, double fallback,
-           Index maxDim)
+std::int64_t
+intParam(const JsonValue &object, std::string_view where,
+         std::string_view key, std::int64_t fallback, std::int64_t lo,
+         std::int64_t hi)
 {
-    const double value = spec.numberOr(key, fallback);
-    fatalIf(value < 1 || !std::isfinite(value),
-            "matrix spec: '" + std::string(key) +
-                "' must be a positive number");
-    fatalIf(value > static_cast<double>(maxDim),
-            "matrix spec: '" + std::string(key) + "' = " +
-                std::to_string(static_cast<std::uint64_t>(value)) +
-                " exceeds the server cap of " + std::to_string(maxDim));
-    return static_cast<Index>(value);
+    const JsonValue *value = checkedValue(
+        object.find(key), where, key, JsonValue::Kind::Number,
+        static_cast<double>(lo), static_cast<double>(hi), true);
+    return value != nullptr ? static_cast<std::int64_t>(value->number)
+                            : fallback;
 }
 
-} // namespace
+double
+realParam(const JsonValue &object, std::string_view where,
+          std::string_view key, double fallback, double lo, double hi,
+          bool openLow)
+{
+    const JsonValue *value =
+        checkedValue(object.find(key), where, key,
+                     JsonValue::Kind::Number, lo, hi, false, openLow);
+    return value != nullptr ? value->number : fallback;
+}
+
+std::string
+stringParam(const JsonValue &object, std::string_view where,
+            std::string_view key, std::string_view fallback)
+{
+    const JsonValue *value = checkedValue(object.find(key), where, key,
+                                          JsonValue::Kind::String);
+    return value != nullptr ? value->text : std::string(fallback);
+}
+
+bool
+boolParam(const JsonValue &object, std::string_view where,
+          std::string_view key, bool fallback)
+{
+    const JsonValue *value = checkedValue(object.find(key), where, key,
+                                          JsonValue::Kind::Bool);
+    return value != nullptr ? value->boolean : fallback;
+}
 
 TripletMatrix
 matrixFromSpec(const JsonValue &spec, Index maxDim)
 {
     fatalIf(!spec.isObject(), "request needs a \"matrix\" object");
-    const std::string kind = spec.stringOr("kind", "");
+    constexpr std::string_view where = "matrix spec";
+    const std::string kind = stringParam(spec, where, "kind", "");
     fatalIf(kind.empty(), "matrix spec needs a \"kind\" string");
+    const auto dim = [&](std::string_view key, Index fallback,
+                         Index cap) {
+        return static_cast<Index>(
+            intParam(spec, where, key, fallback, 1, cap));
+    };
 
-    const auto seed = static_cast<std::uint64_t>(
-        spec.numberOr("seed", 1));
-    Rng rng(seed);
+    Rng rng(static_cast<std::uint64_t>(
+        intParam(spec, where, "seed", 1, 0, maxExactInteger)));
 
     if (kind == "random") {
-        const Index n = indexField(spec, "n", 256, maxDim);
-        const double density = spec.numberOr("density", 0.05);
-        fatalIf(density <= 0 || density > 1,
-                "matrix spec: random density must be in (0, 1]");
+        const Index n = dim("n", 256, maxDim);
+        const double density =
+            realParam(spec, where, "density", 0.05, 0, 1, true);
         return randomMatrix(n, density, rng);
     }
     if (kind == "band") {
-        const Index n = indexField(spec, "n", 256, maxDim);
-        const Index width = indexField(spec, "width", 8, maxDim);
-        const double fill = spec.numberOr("fill", 1.0);
-        fatalIf(fill <= 0 || fill > 1,
-                "matrix spec: band fill must be in (0, 1]");
+        const Index n = dim("n", 256, maxDim);
+        const Index width = dim("width", 8, maxDim);
+        const double fill = realParam(spec, where, "fill", 1.0, 0, 1, true);
         return bandMatrix(n, width, rng, fill);
     }
     if (kind == "diagonal") {
-        const Index n = indexField(spec, "n", 256, maxDim);
+        const Index n = dim("n", 256, maxDim);
         return diagonalMatrix(n, rng);
     }
     if (kind == "stencil2d") {
         // The matrix dimension is nx*ny, so the per-axis cap is the
         // square root of the dimension cap.
-        const auto axisCap = static_cast<Index>(
-            std::sqrt(static_cast<double>(maxDim)));
-        const Index nx = indexField(spec, "nx", 32,
-                                    std::max<Index>(1, axisCap));
-        const Index ny = indexField(spec, "ny", 32,
-                                    std::max<Index>(1, axisCap));
+        const Index axisCap = std::max<Index>(
+            1, static_cast<Index>(std::sqrt(static_cast<double>(maxDim))));
+        const Index nx = dim("nx", 32, axisCap);
+        const Index ny = dim("ny", 32, axisCap);
         return stencil2d(nx, ny);
     }
     if (kind == "rmat") {
-        const Index n = indexField(spec, "n", 512, maxDim);
-        const double edges = spec.numberOr(
-            "edges", static_cast<double>(n) * 4);
-        fatalIf(edges < 1 ||
-                    edges > static_cast<double>(maxDim) * 64,
-                "matrix spec: rmat edges out of range");
+        const Index n = dim("n", 512, maxDim);
+        const std::int64_t edges =
+            intParam(spec, where, "edges", std::int64_t{n} * 4, 1,
+                     std::int64_t{maxDim} * 64);
         return rmatGraph(n, static_cast<std::size_t>(edges), rng);
     }
     if (kind == "pruned") {
-        const Index rows = indexField(spec, "rows", 256, maxDim);
-        const Index cols = indexField(spec, "cols", rows, maxDim);
-        const double density = spec.numberOr("density", 0.3);
-        fatalIf(density <= 0 || density > 1,
-                "matrix spec: pruned density must be in (0, 1]");
+        const Index rows = dim("rows", 256, maxDim);
+        const Index cols = dim("cols", rows, maxDim);
+        const double density =
+            realParam(spec, where, "density", 0.3, 0, 1, true);
         return prunedLayer(rows, cols, density, rng,
-                           spec.boolOr("block", false));
+                           boolParam(spec, where, "block", false));
     }
     if (kind == "file") {
-        const std::string path = spec.stringOr("path", "");
+        const std::string path = stringParam(spec, where, "path", "");
         fatalIf(path.empty(), "matrix spec: file kind needs a path");
         TripletMatrix matrix = readMatrixMarketFile(path);
         fatalIf(matrix.rows() > maxDim || matrix.cols() > maxDim,
@@ -259,7 +319,7 @@ matrixFromSpec(const JsonValue &spec, Index maxDim)
         return matrix;
     }
     if (kind == "cbm") {
-        const std::string path = spec.stringOr("path", "");
+        const std::string path = stringParam(spec, where, "path", "");
         fatalIf(path.empty(), "matrix spec: cbm kind needs a path");
         const CbmReader reader(path);
         fatalIf(reader.rows() > maxDim || reader.cols() > maxDim,
@@ -311,13 +371,15 @@ partitionSizesFromParam(const JsonValue *array,
     if (array == nullptr)
         return fallback;
     fatalIf(!array->isArray(),
-            "\"partition_sizes\" must be an array of numbers");
+            "\"partition_sizes\" must be an array of integers");
     std::vector<Index> sizes;
-    for (const JsonValue &entry : array->elements) {
-        fatalIf(!entry.isNumber() || entry.number < 1 ||
-                    entry.number > 4096,
-                "partition sizes must be numbers in [1, 4096]");
-        sizes.push_back(static_cast<Index>(entry.number));
+    for (std::size_t i = 0; i < array->elements.size(); ++i) {
+        const std::string key = "partition_sizes[" + std::to_string(i) + "]";
+        sizes.push_back(static_cast<Index>(
+            checkedValue(&array->elements[i], "", key,
+                         JsonValue::Kind::Number, 1, maxPartitionSize,
+                         true)
+                ->number));
     }
     fatalIf(sizes.empty(), "\"partition_sizes\" must not be empty");
     return sizes;

@@ -72,6 +72,10 @@ inline constexpr std::string_view internal = "internal";
 
 } // namespace serve_error
 
+/** Largest partition size and timeout_ms (one day) a request may ask. */
+inline constexpr std::int64_t maxPartitionSize = 4096;
+inline constexpr double maxRequestTimeoutMs = 86400000;
+
 /** One parsed request line. */
 struct ServeRequest
 {
@@ -122,14 +126,10 @@ std::string_view requestParseErrorName(RequestParseError error);
  * @param error Human-readable reason on failure.
  * @param why Classification of the failure (None on success).
  * @return False on malformed JSON, a missing/unknown "op", or a
- *         non-object "params".
+ *         non-object "params" or bad "timeout_ms" (BadParams).
  */
 bool parseRequest(const std::string &line, ServeRequest &out,
                   std::string &error, RequestParseError &why);
-
-/** parseRequest() without the classification out-param. */
-bool parseRequest(const std::string &line, ServeRequest &out,
-                  std::string &error);
 
 /**
  * Serialise a success response. @p resultJson must be a complete JSON
@@ -171,6 +171,25 @@ std::string errorResponse(std::uint64_t id, std::string_view op,
  */
 TripletMatrix matrixFromSpec(const JsonValue &spec, Index maxDim);
 
+/**
+ * Checked readers for request fields: member @p key of @p object as an
+ * integer in [lo, hi], a real in [lo, hi] ((lo, hi] when @p openLow), a
+ * string or a bool. An absent key returns @p fallback; anything else
+ * (wrong type, null, a fraction where an integer is wanted, out of
+ * range) throws FatalError "<where>: <key> must be <expected>", which
+ * the server answers bad_request.
+ */
+std::int64_t intParam(const JsonValue &object, std::string_view where,
+                      std::string_view key, std::int64_t fallback,
+                      std::int64_t lo, std::int64_t hi);
+double realParam(const JsonValue &object, std::string_view where,
+                 std::string_view key, double fallback, double lo,
+                 double hi, bool openLow = false);
+std::string stringParam(const JsonValue &object, std::string_view where,
+                        std::string_view key, std::string_view fallback);
+bool boolParam(const JsonValue &object, std::string_view where,
+               std::string_view key, bool fallback);
+
 /** Parse an advisor goal name ("latency", ...); FatalError if unknown. */
 AdvisorGoal goalFromName(std::string_view name);
 
@@ -183,8 +202,9 @@ formatsFromParam(const JsonValue *array,
                  const std::vector<FormatKind> &fallback);
 
 /**
- * Partition sizes from a JSON array of numbers; @p fallback when
- * @p array is null. FatalError on a non-positive size.
+ * Partition sizes from a JSON array of integers; @p fallback when
+ * @p array is null. FatalError on an element that is not an integer
+ * in [1, maxPartitionSize].
  */
 std::vector<Index>
 partitionSizesFromParam(const JsonValue *array,

@@ -67,6 +67,14 @@ Server::Server(ServeOptions options) : opts(std::move(options))
 {
     fatalIf(opts.queueCapacity == 0,
             "serve: queue capacity must be at least 1");
+    fatalIf(opts.defaultTimeoutMs < 0 ||
+                opts.defaultTimeoutMs > maxRequestTimeoutMs,
+            "serve: the default timeout must be in [0, 86400000] ms");
+    // The drain trace is the span tree, which only the observability
+    // plane records; without it the file would hold no events.
+    fatalIf(!opts.tracePath.empty() && !opts.observability,
+            "serve: --trace needs the observability plane; drop "
+            "--no-observe");
     connections = std::make_unique<ScalarStat>(
         grp, "connections", "client connections accepted");
     badLines = std::make_unique<ScalarStat>(
@@ -920,14 +928,16 @@ Server::runRequest(std::shared_ptr<Conn> conn, ServeRequest request,
             token, InflightEntry{request.endpoint, request.id, startUs});
     }
 
-    double timeoutMs = request.timeoutMs > 0 ? request.timeoutMs
-                                             : opts.defaultTimeoutMs;
+    const double timeoutMs = request.timeoutMs > 0 ? request.timeoutMs
+                                                   : opts.defaultTimeoutMs;
     std::function<bool()> deadlineHit;
     if (timeoutMs > 0) {
+        // Both sources are capped at maxRequestTimeoutMs, so the
+        // conversion to clock ticks cannot overflow.
         const auto deadline =
             std::chrono::steady_clock::now() +
-            std::chrono::microseconds(
-                static_cast<std::int64_t>(timeoutMs * 1000.0));
+            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                std::chrono::duration<double, std::milli>(timeoutMs));
         deadlineHit = [deadline] {
             return std::chrono::steady_clock::now() >= deadline;
         };
@@ -995,11 +1005,6 @@ Server::runRequest(std::shared_ptr<Conn> conn, ServeRequest request,
     const std::uint64_t endUs = nowUs();
     stats.latencyUs->sample(static_cast<double>(endUs - startUs));
     {
-        const MutexLock lock(spansMutex);
-        requestSpans.push_back(
-            {request.endpoint, request.id, startUs, endUs, outcome});
-    }
-    {
         const MutexLock lock(inflightMutex);
         inflightReqs.erase(token);
     }
@@ -1061,16 +1066,6 @@ Server::requestMatrix(const ServeRequest &request) const
     return matrixFromSpec(*spec, opts.maxMatrixDim);
 }
 
-Index
-Server::requestPartitionSize(const ServeRequest &request)
-{
-    const double p = request.params.numberOr("partition_size", 16);
-    fatalIf(p < 1 || p > 4096,
-            std::string(endpointName(request.endpoint)) +
-                ": partition_size must be in [1, 4096]");
-    return static_cast<Index>(p);
-}
-
 std::string
 Server::memoized(const TripletMatrix &matrix, std::uint64_t configHash,
                  RequestObs &obs,
@@ -1100,6 +1095,11 @@ Server::dispatch(const ServeRequest &request,
             throw CancelledError("request deadline exceeded");
     };
     const JsonValue &params = request.params;
+    const std::string_view op = endpointName(request.endpoint);
+    const auto partitionSize = [&] {
+        return static_cast<Index>(intParam(params, op, "partition_size",
+                                           16, 1, maxPartitionSize));
+    };
 
     switch (request.endpoint) {
       case Endpoint::Ping:
@@ -1114,15 +1114,13 @@ Server::dispatch(const ServeRequest &request,
       case Endpoint::Sleep: {
         // Test/load-gen endpoint: occupy an admission slot for a
         // controlled time, honoring the deadline like a real sweep.
-        double ms = params.numberOr("ms", 100);
-        fatalIf(ms < 0 || ms > 60000,
-                "sleep: ms must be in [0, 60000]");
+        const double ms = realParam(params, op, "ms", 100, 0, 60000);
         double slept = 0;
         while (slept < ms) {
             checkAbort();
             const double slice = std::min(5.0, ms - slept);
-            std::this_thread::sleep_for(std::chrono::microseconds(
-                static_cast<std::int64_t>(slice * 1000.0)));
+            std::this_thread::sleep_for(
+                std::chrono::duration<double, std::milli>(slice));
             slept += slice;
         }
         return "{\"slept_ms\": " + jsonNum(ms) + "}";
@@ -1132,8 +1130,9 @@ Server::dispatch(const ServeRequest &request,
         const TripletMatrix matrix = requestMatrix(request);
         checkAbort();
         const AdvisorGoal goal =
-            goalFromName(params.stringOr("goal", "balanced"));
-        const bool tailored = params.boolOr("tailored_engine", false);
+            goalFromName(stringParam(params, op, "goal", "balanced"));
+        const bool tailored =
+            boolParam(params, op, "tailored_engine", false);
 
         // Advice is a pure function of (matrix content, goal,
         // tailored-engine flag); the memo key binds exactly those.
@@ -1185,15 +1184,18 @@ Server::dispatch(const ServeRequest &request,
         // the config, and to the exact workload set Study will see.
         std::size_t resumedCells = 0;
         const std::string journalPath =
-            params.stringOr("journal", "");
+            stringParam(params, op, "journal", "");
+        const bool includeRows =
+            boolParam(params, op, "include_rows", false);
         if (!journalPath.empty()) {
             JournalIdentity identity;
             identity.matrixHash =
                 workloadSetHash({{"request", contentHashOf(matrix)}});
+            // matrixFromSpec already checked the spec's fields.
             const JsonValue &spec = *params.find("matrix");
-            if (spec.stringOr("kind", "") == "cbm")
+            if (stringParam(spec, op, "kind", "") == "cbm")
                 identity.matrixEpoch =
-                    CbmReader(spec.stringOr("path", "")).epoch();
+                    CbmReader(stringParam(spec, op, "path", "")).epoch();
             identity.configHash =
                 sweepConfigHash(cfg.partitionSizes, cfg.formats);
             cfg.journal =
@@ -1227,7 +1229,7 @@ Server::dispatch(const ServeRequest &request,
                 << jsonNum(agg[i].dynamicPowerW) << '}';
         }
         out << ']';
-        if (params.boolOr("include_rows", false)) {
+        if (includeRows) {
             out << ", \"row_details\": [";
             for (std::size_t i = 0; i < result.rows.size(); ++i) {
                 const StudyRow &row = result.rows[i];
@@ -1249,12 +1251,12 @@ Server::dispatch(const ServeRequest &request,
 
       case Endpoint::PlanFormats: {
         const TripletMatrix matrix = requestMatrix(request);
-        const Index p = requestPartitionSize(request);
+        const Index p = partitionSize();
         const std::vector<FormatKind> candidates =
             formatsFromParam(params.find("formats"), paperFormats());
         obs.formatsSwept = candidates.size();
         const std::string objectiveName =
-            params.stringOr("objective", "bottleneck");
+            stringParam(params, op, "objective", "bottleneck");
         SchedulerObjective objective = SchedulerObjective::Bottleneck;
         if (objectiveName == "compute") {
             objective = SchedulerObjective::Compute;
@@ -1303,7 +1305,7 @@ Server::dispatch(const ServeRequest &request,
 
       case Endpoint::ValidateTile: {
         const TripletMatrix matrix = requestMatrix(request);
-        const Index p = requestPartitionSize(request);
+        const Index p = partitionSize();
         const std::vector<FormatKind> kinds =
             formatsFromParam(params.find("formats"), paperFormats());
         obs.formatsSwept = kinds.size();
@@ -1347,7 +1349,7 @@ Server::dispatch(const ServeRequest &request,
       }
 
       case Endpoint::DumpFlightRec: {
-        const std::string path = params.stringOr("path", "");
+        const std::string path = stringParam(params, op, "path", "");
         const FlightRecorder &recorder = FlightRecorder::global();
         if (!path.empty()) {
             recorder.dumpToFile(path);
@@ -1365,9 +1367,9 @@ Server::dispatch(const ServeRequest &request,
       }
 
       case Endpoint::StoreInfo: {
-        const std::string path = params.stringOr("path", "");
+        const std::string path = stringParam(params, op, "path", "");
         fatalIf(path.empty(), "store_info: params.path is required");
-        const bool deep = params.boolOr("deep", false);
+        const bool deep = boolParam(params, op, "deep", false);
         const std::vector<CbmIssue> issues =
             inspectCbmFile(path, deep);
         std::ostringstream out;
@@ -1585,13 +1587,6 @@ Server::metricsText() const
     return writer.text();
 }
 
-std::vector<RequestSpan>
-Server::spans() const
-{
-    const MutexLock lock(spansMutex);
-    return requestSpans;
-}
-
 void
 Server::waitDrained()
 {
@@ -1634,36 +1629,22 @@ Server::waitDrained()
         inform("serve: stats written to " + opts.statsJsonPath);
     }
     if (!opts.tracePath.empty()) {
+        // The span tree as a Chrome trace: one scope, tracks by
+        // subsystem, and the causal edges preserved in each event's
+        // args (the timeline view flattens them).
         TraceWriter writer;
-        writer.beginScope("serve");
-        {
-            const MutexLock lock(spansMutex);
-            for (const RequestSpan &span : requestSpans) {
-                writer.durationEvent(endpointName(span.endpoint),
-                                     "r" + std::to_string(span.id) +
-                                         " " + span.outcome,
-                                     span.startUs, span.endUs);
-            }
-        }
-        if (opts.observability) {
-            // The span tree rides in the same Chrome trace: one scope,
-            // tracks by subsystem, and the causal edges preserved in
-            // each event's args (the timeline view flattens them).
-            writer.beginScope("spans");
-            for (const SpanRecord &span :
-                 SpanCollector::global().snapshot()) {
-                writer.durationEventArgs(
-                    span.track, span.name, span.startUs, span.endUs,
-                    "{\"trace_id\": " + jsonStr(traceIdToHex(
-                                            span.traceId)) +
-                        ", \"span_id\": " +
-                        jsonStr(traceIdToHex(span.spanId)) +
-                        ", \"parent_span_id\": " +
-                        jsonStr(traceIdToHex(span.parentSpanId)) + "}");
-            }
+        writer.beginScope("spans");
+        for (const SpanRecord &span : SpanCollector::global().snapshot()) {
+            writer.durationEventArgs(
+                span.track, span.name, span.startUs, span.endUs,
+                "{\"trace_id\": " + jsonStr(traceIdToHex(span.traceId)) +
+                    ", \"span_id\": " +
+                    jsonStr(traceIdToHex(span.spanId)) +
+                    ", \"parent_span_id\": " +
+                    jsonStr(traceIdToHex(span.parentSpanId)) + "}");
         }
         writer.writeFile(opts.tracePath);
-        inform("serve: request trace written to " + opts.tracePath);
+        inform("serve: span trace written to " + opts.tracePath);
     }
     if (!opts.flightRecPath.empty()) {
         FlightRecorder::global().dumpToFile(opts.flightRecPath);

@@ -20,7 +20,7 @@
  *  - Drain is graceful: beginShutdown() stops accepting, new requests
  *    get {"error": "shutting_down"}, in-flight requests finish and
  *    their responses are delivered, then waitDrained() flushes the
- *    stats JSON and the request-lane trace and returns.
+ *    stats JSON and the span-tree trace and returns.
  *
  * Threading model (the PR-10 event-loop rewrite): a single I/O thread
  * owns the epoll instance, the listening socket and every connection
@@ -111,7 +111,7 @@ struct ServeOptions
     /** Where waitDrained() writes the stats dump; "" = nowhere. */
     std::string statsJsonPath;
 
-    /** Where waitDrained() writes the request-lane trace; "" = off. */
+    /** Where waitDrained() writes the span-tree trace; "" = off. */
     std::string tracePath;
 
     /** Where waitDrained() dumps the flight recorder; "" = nowhere. */
@@ -146,16 +146,6 @@ struct ServeOptions
      * inject a contract-violating set here to exercise the refusal).
      */
     FormatParams lintParams;
-};
-
-/** One request-lane trace record (flushed to tracePath at drain). */
-struct RequestSpan
-{
-    Endpoint endpoint = Endpoint::Ping;
-    std::uint64_t id = 0;
-    std::uint64_t startUs = 0;
-    std::uint64_t endUs = 0;
-    std::string outcome; ///< "ok" or an error code
 };
 
 /** The daemon. Construct, start(), then waitDrained() blocks. */
@@ -220,9 +210,6 @@ class Server
      * copy.
      */
     std::string metricsText() const;
-
-    /** Request spans recorded so far (tests; snapshot under lock). */
-    std::vector<RequestSpan> spans() const;
 
     const ServeOptions &options() const { return opts; }
 
@@ -365,9 +352,6 @@ class Server
      */
     TripletMatrix requestMatrix(const ServeRequest &request) const;
 
-    /** params.partition_size (default 16), checked to [1, 4096]. */
-    static Index requestPartitionSize(const ServeRequest &request);
-
     /**
      * The payload memoized under (@p matrix content, @p configHash):
      * a result-memo hit, else compute()'s payload, inserted. The
@@ -446,10 +430,6 @@ class Server
     std::unique_ptr<ScalarStat> framesProtocolError;
     std::unique_ptr<ScalarStat> framesTruncated;
     std::unique_ptr<ScalarStat> streamsCancelled;
-
-    mutable Mutex spansMutex{lock_rank::serveSpans};
-    std::vector<RequestSpan> requestSpans
-        COPERNICUS_GUARDED_BY(spansMutex);
 
     /** In-flight registry for --top, under inflightMutex. */
     mutable Mutex inflightMutex{lock_rank::serveInflight};

@@ -148,9 +148,10 @@ TEST_F(ServeTest, UnknownOpAndBadParamsAreBadRequests)
                   op + ": params.matrix is required");
     }
 
-    // Out-of-range partition sizes are refused the same way.
+    // Out-of-range, fractional and mistyped partition sizes are
+    // refused the same way.
     for (const std::string op : {"plan_formats", "validate_tile"}) {
-        for (const char *p : {"0", "4097"}) {
+        for (const char *p : {"0", "4097", "16.9", "\"32\"", "1e300"}) {
             SCOPED_TRACE(op + " partition_size " + p);
             const JsonValue response = c.call(
                 op, "{\"matrix\": {\"kind\": \"band\", \"n\": 32, "
@@ -159,9 +160,171 @@ TEST_F(ServeTest, UnknownOpAndBadParamsAreBadRequests)
             EXPECT_FALSE(response.boolOr("ok", true));
             EXPECT_EQ(response.stringOr("error", ""), "bad_request");
             EXPECT_EQ(response.stringOr("message", ""),
-                      op + ": partition_size must be in [1, 4096]");
+                      op + ": partition_size must be an integer in "
+                           "[1, 4096]");
         }
     }
+
+    // Every other request field goes through the same checked readers:
+    // a wrong type, a fraction or an out-of-range value is refused with
+    // a message naming the key, never served as a different question.
+    struct BadField
+    {
+        std::string line;
+        std::string message;
+    };
+    const std::string band =
+        "\"matrix\": {\"kind\": \"band\", \"n\": 32, \"width\": 2";
+    const std::string nRange =
+        "matrix spec: n must be an integer in [1, 4096]";
+    const std::string seedRange = "matrix spec: seed must be an integer "
+                                  "in [0, 9007199254740992]";
+    const std::string timeoutRange =
+        "request: timeout_ms must be a number in [0, 86400000]";
+    const std::vector<BadField> cases = {
+        {"{\"op\": \"run_study\", \"params\": {" + band +
+             "}, \"partition_sizes\": [16.9]}}",
+         "partition_sizes[0] must be an integer in [1, 4096]"},
+        {"{\"op\": \"advise\", \"params\": {\"matrix\": {\"kind\": "
+         "\"random\", \"n\": \"512\"}}}",
+         nRange},
+        {"{\"op\": \"advise\", \"params\": {\"matrix\": {\"kind\": "
+         "\"random\", \"n\": 96.7}}}",
+         nRange},
+        {"{\"op\": \"advise\", \"params\": {" + band +
+             ", \"seed\": -1}}}",
+         seedRange},
+        {"{\"op\": \"advise\", \"params\": {" + band +
+             ", \"seed\": 1e30}}}",
+         seedRange},
+        {"{\"op\": \"advise\", \"params\": {" + band +
+             "}, \"goal\": 5}}",
+         "advise: goal must be a string"},
+        {"{\"op\": \"run_study\", \"params\": {" + band +
+             "}, \"include_rows\": \"yes\"}}",
+         "run_study: include_rows must be true or false"},
+        {"{\"op\": \"ping\", \"timeout_ms\": -1}", timeoutRange},
+        {"{\"op\": \"ping\", \"timeout_ms\": 1e13}", timeoutRange},
+        {"{\"op\": \"ping\", \"timeout_ms\": 1e300}", timeoutRange},
+    };
+    for (const BadField &bad : cases) {
+        SCOPED_TRACE(bad.line);
+        JsonValue response;
+        ASSERT_TRUE(parseJson(c.requestLine(bad.line), response));
+        EXPECT_FALSE(response.boolOr("ok", true));
+        EXPECT_EQ(response.stringOr("error", ""), "bad_request");
+        EXPECT_EQ(response.stringOr("message", ""), bad.message);
+    }
+}
+
+/**
+ * Request-field mutation: every field of four well-formed matrix
+ * requests, at every level (envelope, params, params.matrix), is
+ * swapped in turn for each of a string, a negative number, a fraction,
+ * +-1e300, true, null, [] and {}. Every mutant must be answered ok or
+ * bad_request on the same connection (never internal, never a dropped
+ * connection), and afterwards the unmutated requests must still answer
+ * byte for byte as before.
+ */
+TEST_F(ServeTest, RequestFieldMutantsAnswerOkOrBadRequest)
+{
+    startServer();
+    ServeClient c = client();
+
+    using Fields = std::vector<std::pair<std::string, std::string>>;
+    struct Base
+    {
+        std::string op;
+        Fields params;
+        Fields matrix;
+    };
+    const std::vector<Base> bases = {
+        {"advise",
+         {{"goal", "\"latency\""}, {"tailored_engine", "false"}},
+         {{"kind", "\"band\""}, {"n", "64"}, {"width", "4"},
+          {"fill", "0.5"}, {"seed", "3"}}},
+        {"plan_formats",
+         {{"partition_size", "16"},
+          {"formats", "[\"CSR\", \"COO\", \"ELL\"]"},
+          {"objective", "\"bytes\""}},
+         {{"kind", "\"rmat\""}, {"n", "64"}, {"edges", "200"},
+          {"seed", "4"}}},
+        {"run_study",
+         {{"partition_sizes", "[8, 16]"},
+          {"formats", "[\"CSR\", \"COO\"]"},
+          {"include_rows", "false"}},
+         {{"kind", "\"random\""}, {"n", "48"}, {"density", "0.1"},
+          {"seed", "5"}}},
+        {"validate_tile",
+         {{"partition_size", "16"}, {"formats", "[\"CSR\", \"ELL\"]"}},
+         {{"kind", "\"pruned\""}, {"rows", "32"}, {"cols", "48"},
+          {"density", "0.3"}, {"block", "false"}, {"seed", "6"}}},
+    };
+
+    // The request line of @p base with the field named @p site
+    // ("id", "params.goal", "matrix.n", ...) replaced by @p value.
+    const auto render = [](const Base &base, const std::string &site,
+                           const std::string &value) {
+        const auto object = [&](const Fields &fields,
+                                const std::string &prefix) {
+            std::string out = "{";
+            for (const auto &[key, text] : fields) {
+                out += out.size() > 1 ? ", \"" : "\"";
+                out += key + "\": " + (site == prefix + key ? value : text);
+            }
+            return out + "}";
+        };
+        Fields params = base.params;
+        params.insert(params.begin(),
+                      {"matrix", object(base.matrix, "matrix.")});
+        return object({{"op", "\"" + base.op + "\""},
+                       {"id", "7"},
+                       {"params", object(params, "params.")}},
+                      "");
+    };
+    // The reply from its "result" on: the trace id before it differs
+    // per request.
+    const auto answer = [&c](const std::string &line) {
+        const std::string raw = c.requestLine(line);
+        const std::size_t at = raw.find("\"result\": ");
+        EXPECT_NE(at, std::string::npos) << raw;
+        return at == std::string::npos ? raw : raw.substr(at);
+    };
+
+    std::vector<std::string> golden;
+    for (const Base &base : bases)
+        golden.push_back(answer(render(base, "", "")));
+
+    std::size_t mutants = 0;
+    for (const Base &base : bases) {
+        std::vector<std::string> sites = {"op", "id", "params",
+                                          "params.matrix"};
+        for (const auto &[key, text] : base.params)
+            sites.push_back("params." + key);
+        for (const auto &[key, text] : base.matrix)
+            sites.push_back("matrix." + key);
+        for (const std::string &site : sites) {
+            for (const char *value : {"\"x\"", "-3", "2.5", "1e300",
+                                      "-1e300", "true", "null", "[]",
+                                      "{}"}) {
+                const std::string line = render(base, site, value);
+                SCOPED_TRACE(line);
+                JsonValue response;
+                ASSERT_TRUE(parseJson(c.requestLine(line), response));
+                if (!response.boolOr("ok", false)) {
+                    EXPECT_EQ(response.stringOr("error", ""),
+                              "bad_request")
+                        << response.stringOr("message", "");
+                }
+                ++mutants;
+            }
+        }
+    }
+    EXPECT_EQ(mutants, 405u);
+
+    for (std::size_t i = 0; i < bases.size(); ++i)
+        EXPECT_EQ(answer(render(bases[i], "", "")), golden[i])
+            << bases[i].op;
 }
 
 /**
@@ -365,12 +528,16 @@ TEST_F(ServeTest, GracefulDrainFinishesInflightAndRejectsNew)
     server->waitDrained();
     inflight.join();
 
-    // The request-lane trace recorded the slept request as completed.
-    bool sawSleepOk = false;
-    for (const RequestSpan &span : server->spans())
-        if (span.endpoint == Endpoint::Sleep && span.outcome == "ok")
-            sawSleepOk = true;
-    EXPECT_TRUE(sawSleepOk);
+    // The drained stats count the slept request as completed.
+    JsonValue stats;
+    ASSERT_TRUE(parseJson(server->statsJson(), stats));
+    double sleepCompleted = -1;
+    for (const JsonValue &group : stats.find("groups")->elements)
+        if (group.stringOr("group", "") == "serve")
+            for (const JsonValue &stat : group.find("stats")->elements)
+                if (stat.stringOr("name", "") == "sleep.completed")
+                    sleepCompleted = stat.numberOr("value", -1);
+    EXPECT_DOUBLE_EQ(sleepCompleted, 1);
     server.reset();
 }
 

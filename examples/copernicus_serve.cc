@@ -50,6 +50,12 @@
  * for its whole lifetime. SIGINT/SIGTERM trigger a graceful drain:
  * accepting stops, in-flight requests finish and are answered, stats
  * and traces are flushed, and the process exits 0.
+ *
+ * On glibc the daemon caps malloc at two arenas before any lane
+ * starts. With an arena per lane, each arena keeps the high-water mark
+ * of the largest request its lane happened to take, so the resident
+ * size of identical runs differs with the schedule; shared arenas
+ * reuse what any lane freed.
  */
 
 #include <atomic>
@@ -58,6 +64,10 @@
 #include <cstdlib>
 #include <exception>
 #include <string>
+
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include "common/status.hh"
 #include "serve/server.hh"
@@ -194,6 +204,9 @@ parseArgs(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
+#ifdef __GLIBC__
+    mallopt(M_ARENA_MAX, 2);
+#endif
     try {
         Server server(parseArgs(argc, argv));
         server.start();

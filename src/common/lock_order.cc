@@ -18,7 +18,6 @@ lockOrderRegistry()
         {"serve.admit", lock_rank::serveAdmit},
         {"serve.memo", lock_rank::serveMemo},
         {"serve.inflight", lock_rank::serveInflight},
-        {"study.cache", lock_rank::studyCache},
         {"store.sweep_journal", lock_rank::sweepJournal},
         {"encode_cache.shard", lock_rank::encodeCacheShard},
         {"stat.distribution", lock_rank::statDistribution},

@@ -51,7 +51,6 @@ inline constexpr int serveStreams = 16;  ///< per-connection streams
 inline constexpr int serveAdmit = 20;    ///< admission state
 inline constexpr int serveMemo = 25;     ///< advise/plan result memo
 inline constexpr int serveInflight = 30; ///< --top in-flight registry
-inline constexpr int studyCache = 50;    ///< partitioning memo slots
 inline constexpr int sweepJournal = 55;  ///< checkpoint journal append
 inline constexpr int encodeCacheShard = 60; ///< encode-cache shards
 inline constexpr int statDistribution = 70; ///< DistributionStat bins

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <fstream>
+#include <mutex>
 #include <optional>
 
 #include "analysis/table_writer.hh"
@@ -165,26 +166,6 @@ Study::makeRow(const std::string &workload, const Partitioning &parts,
     return row;
 }
 
-const Partitioning &
-Study::partitionsFor(std::size_t w, Index p) const
-{
-    PartitionSlot *slot;
-    {
-        const MutexLock lock(*cacheMutex);
-        slot = &cache[std::make_pair(w, p)];
-    }
-    // The slot is built outside the map lock so distinct keys
-    // partition concurrently (run() fans the combinations out on the
-    // pool); call_once serialises only same-key racers. std::map
-    // nodes are stable and entries are never erased, so the reference
-    // outlives both locks.
-    std::call_once(slot->once, [&] {
-        const ScopedSpan part_span("study.partition", "study");
-        slot->parts = partition(matrices[w].second, p);
-    });
-    return slot->parts;
-}
-
 StudyResult
 Study::run() const
 {
@@ -195,54 +176,65 @@ Study::run() const
     if (jobs > 1)
         pool.emplace(jobs);
 
-    // Build every (workload, partition size) combination first. At
-    // jobs > 1 the combinations fan out on the pool — partitionsFor()
-    // constructs per slot, so distinct keys partition concurrently —
-    // and the design-point enumeration below then only reads cached
-    // references.
-    std::vector<std::pair<std::size_t, Index>> combos;
-    combos.reserve(matrices.size() * cfg.partitionSizes.size());
-    for (std::size_t w = 0; w < matrices.size(); ++w)
-        for (Index p : cfg.partitionSizes)
-            combos.emplace_back(w, p);
-    if (pool && combos.size() > 1) {
-        pool->parallelFor(combos.size(), [&](std::size_t i) {
-            partitionsFor(combos[i].first, combos[i].second);
-        });
-    }
-
+    // Each (workload, partition size) is partitioned by the first
+    // design point that needs it and dropped after its last one, so a
+    // sweep holds only the partitionings of the points in flight. Held
+    // all at once, they set the peak resident size, and that peak then
+    // moved from run to run with the way the lanes' allocator arenas
+    // happened to split the tiles.
+    struct Combo
+    {
+        std::size_t w = 0;
+        Index p = 0;
+        std::once_flag once;
+        Partitioning parts;
+        std::atomic<std::size_t> pending{0};
+    };
+    std::vector<Combo> combos(matrices.size() * cfg.partitionSizes.size());
     struct Point
     {
-        std::size_t w;
-        const Partitioning *parts;
+        Combo *combo;
         FormatKind kind;
     };
     std::vector<Point> points;
     points.reserve(combos.size() * cfg.formats.size());
-    for (const auto &[w, p] : combos) {
-        const Partitioning &parts = partitionsFor(w, p);
-        for (FormatKind kind : cfg.formats)
-            points.push_back({w, &parts, kind});
+    Combo *next = combos.data();
+    for (std::size_t w = 0; w < matrices.size(); ++w) {
+        for (Index p : cfg.partitionSizes) {
+            Combo &combo = *next++;
+            combo.w = w;
+            combo.p = p;
+            combo.pending.store(cfg.formats.size(), std::memory_order_relaxed);
+            for (FormatKind kind : cfg.formats)
+                points.push_back({&combo, kind});
+        }
     }
 
     StudyResult result;
     result.rows.resize(points.size());
     // One design point: a row the journal already holds is reused,
-    // anything else is evaluated and journaled.
+    // anything else is evaluated and journaled. The last point of a
+    // combination releases its partitioning.
     const auto runPoint = [&](std::size_t i, TraceSink *sink) {
         const Point &pt = points[i];
-        const std::string &workload = matrices[pt.w].first;
-        if (cfg.journal) {
-            const StudyRow *done = cfg.journal->completed(
-                workload, pt.kind, pt.parts->partitionSize);
-            if (done != nullptr) {
-                result.rows[i] = *done;
-                return;
-            }
+        Combo &combo = *pt.combo;
+        const std::string &workload = matrices[combo.w].first;
+        const StudyRow *done = cfg.journal ? cfg.journal->completed(
+                                                 workload, pt.kind, combo.p)
+                                           : nullptr;
+        if (done != nullptr) {
+            result.rows[i] = *done;
+        } else {
+            std::call_once(combo.once, [&] {
+                const ScopedSpan part_span("study.partition", "study");
+                combo.parts = partition(matrices[combo.w].second, combo.p);
+            });
+            result.rows[i] = makeRow(workload, combo.parts, pt.kind, sink);
+            if (cfg.journal)
+                cfg.journal->record(result.rows[i]);
         }
-        result.rows[i] = makeRow(workload, *pt.parts, pt.kind, sink);
-        if (cfg.journal)
-            cfg.journal->record(result.rows[i]);
+        if (combo.pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
+            combo.parts = Partitioning();
     };
     if (pool && points.size() > 1) {
         // Each design point is pure and writes only its own row, so
@@ -285,7 +277,8 @@ Study::evaluate(const std::string &workload, FormatKind kind,
     for (std::size_t w = 0; w < matrices.size(); ++w) {
         if (matrices[w].first != workload)
             continue;
-        return makeRow(workload, partitionsFor(w, partitionSize), kind,
+        return makeRow(workload,
+                       partition(matrices[w].second, partitionSize), kind,
                        nullptr);
     }
     fatal("Study: unknown workload '" + workload + "'");
